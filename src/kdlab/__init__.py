@@ -17,24 +17,22 @@ from .autograd import (LOG_FLOOR, NumericError, ShapeError, Tensor, backward,
                        cross_entropy, kl_alignment, matmul, mse, no_grad,
                        relu, sigmoid, slice_rows, softmax, softmax_values,
                        sqrt)
-from .baselines import (MODES, OodDetector, RunResult, cosine_rows, dac_loss,
-                        kd_loss, ood_filter, pseudo_label, train_with_mode)
+from .baselines import (MODES, OodDetector, RunResult, cosine_rows, kd_loss,
+                        ood_filter, pseudo_label, stage2_loss, train_with_mode)
 from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,
                      OptimParams, RunParams, format_config, load_config,
                      override, parse_config)
 from .data import (BatchSampler, DatasetParams, OpenSetDataset, StepBatch,
                    UnlabeledPool, augment, generate, load_dataset, one_hot,
                    save_dataset, select_unlabeled)
-from .distill import (AccuracyFloorError, SrdConfig, cross_network_logit,
-                      feature_reg, labeled_objective, pretrain_teacher,
-                      semi_objective, srd_kl, srd_loss, srd_mse, srd_pmse,
-                      train_step)
+from .distill import (AccuracyFloorError, SrdConfig, feature_reg,
+                      pretrain_teacher, srd_kl, srd_loss, srd_mse, srd_pmse)
 from .harness import compare, get_teacher, run, sweep, teacher_cache_key
 from .metrics import (MetricsRecord, entropy, evaluate_accuracy, feature_dump,
                       mimicry_kl, roc_auc, top_k_accuracy, usage_curve)
 from .models import (Adaptor, Affine, BatchNorm, Classifier, FeatureExtractor,
                      Network, build_pair, load_checkpoint, make_network,
                      save_checkpoint)
-from .optim import Sgd, sgd_step
+from .optim import Sgd
 
 __version__ = "0.1.0"

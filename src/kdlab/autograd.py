@@ -65,7 +65,7 @@ class Tensor:
 
     Tensors that require gradients carry a zero-initialized ``grad`` of the
     same shape from construction on; repeated backward calls accumulate
-    into it until the buffer is reset (``sgd_step`` resets parameters
+    into it until the buffer is reset (``Sgd.step`` resets parameters
     after each update).
     """
 

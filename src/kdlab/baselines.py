@@ -17,13 +17,10 @@ from .autograd import (Tensor, backward, cross_entropy, kl_alignment, log,
                        mul, no_grad, sigmoid, slice_rows, softmax,
                        softmax_values, sqrt)
 from .data import BatchSampler, augment, one_hot, select_unlabeled
-from .distill import feature_reg, lr_at, srd_loss
+from .distill import MODES, feature_reg, lr_at, srd_loss
 from .metrics import MetricsRecord, evaluate_accuracy, mimicry_kl, top_k_accuracy
 from .models import build_pair
 from .optim import Sgd
-
-MODES = ("supervised", "kd", "srd", "srd+kd", "kd+ood", "srd+ood",
-         "kd+dac", "srd+dac", "pseudo_label")
 
 
 def kd_loss(z_t, z_s, temperature):
@@ -62,17 +59,6 @@ def cosine_rows(a, b):
     na = sqrt(mul(a, a).sum(axis=-1))
     nb = sqrt(mul(b, b).sum(axis=-1))
     return dot / (na * nb + 1e-12)
-
-
-def dac_loss(student, teacher, x_u, strength, rng):
-    """Two-view consistency: teacher sees view 1, the loss compares the
-    student's view-2 logits against it by negative cosine similarity."""
-    v1 = augment(x_u, strength, rng)
-    v2 = augment(x_u, strength, rng)
-    with no_grad():
-        _, z_t = teacher.forward(v1)
-    _, z_s = student.forward(v2, train=True)
-    return -cosine_rows(z_s, Tensor(z_t.values)).mean()
 
 
 class OodDetector:
@@ -145,11 +131,53 @@ class RunResult:
     detector: object = None
 
 
-def _mode_flags(mode):
-    if mode not in MODES:
-        raise ValueError(f"train_with_mode: unknown mode {mode!r}")
-    base = mode.split("+")[0]
-    return base, mode.endswith("+ood"), mode.endswith("+dac"), mode == "srd+kd"
+def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
+                pseudo_weight=0.0, view2=None):
+    """One stage-2 step's objective: the graph total and (ce, srd, reg) floats.
+
+    ``x`` holds the labeled rows (one per row of the one-hot ``y``), then
+    the unlabeled rows that passed the filter; ``teacher_out`` is the
+    frozen teacher's (features, logits) over the same rows. ``terms`` is a
+    ``MODES`` entry: srd (with its feature regularizer), kd, pseudo and dac
+    join the labeled cross-entropy in that order. pseudo needs the
+    teacher's hard labels for the unlabeled rows and their weight; dac
+    needs the second view of the unlabeled rows. The reported srd is the
+    kd term in modes without srd and the pool cross-entropy under pseudo.
+    """
+    teacher, student, adaptor = nets
+    feats_t, z_t = teacher_out
+    n_l = len(y)
+    feats_s, logits_s = student.forward(x, train=True)
+    logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
+    ce = cross_entropy(softmax(logits_l), y)
+    total = ce
+    srd_term = reg_term = 0.0
+
+    if "srd" in terms:
+        x_a = adaptor(feats_s, train=True)
+        z_hat = teacher.classifier(x_a)
+        srd = srd_loss(cfg.srd.variant, Tensor(z_t), z_hat)
+        reg = feature_reg(feats_t, x_a)
+        total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
+        srd_term, reg_term = srd.item(), reg.item()
+    if "kd" in terms:
+        kd = kd_loss(z_t, logits_s, cfg.srd.kd_temperature)
+        total = total + cfg.baselines.kd_weight * kd
+        if "srd" not in terms:
+            srd_term = kd.item()
+    if "pseudo" in terms and len(x) > n_l:
+        logits_u = slice_rows(logits_s, n_l, len(x))
+        ce_u = cross_entropy(softmax(logits_u), one_hot(pseudo_y, logits_s.shape[1]))
+        # Union-mean CE: every pool sample counts like a labeled one,
+        # so the pool/labeled size ratio sets the mixing weight.
+        total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
+        srd_term = ce_u.item()
+    if "dac" in terms and len(x) > n_l:
+        # Two-view consistency: the teacher's logits past n_l are on view 1.
+        _, z_s_v2 = student.forward(view2, train=True)
+        dac = -cosine_rows(z_s_v2, Tensor(z_t[n_l:])).mean()
+        total = total + cfg.baselines.dac_weight * dac
+    return total, (ce.item(), srd_term, reg_term)
 
 
 def train_with_mode(dataset, teacher, cfg, seed):
@@ -162,7 +190,10 @@ def train_with_mode(dataset, teacher, cfg, seed):
     if not teacher.frozen:
         raise ValueError("train_with_mode: teacher must be frozen")
     mode = cfg.run.mode
-    base, use_ood, use_dac, extra_kd = _mode_flags(mode)
+    if mode not in MODES:
+        raise ValueError(f"train_with_mode: unknown mode {mode!r}")
+    terms = MODES[mode]
+    use_ood, use_dac = "ood" in terms, "dac" in terms
     p = dataset.params
     opt_cfg = cfg.optimizer
 
@@ -180,17 +211,19 @@ def train_with_mode(dataset, teacher, cfg, seed):
     if wants_unlabeled:
         pool = select_unlabeled(dataset.unlabeled, cfg.run.unlabeled_fraction,
                                 cfg.run.selection_policy, teacher, seed=select_seed)
-        pool_tags, pool_ind = pool.eval_view()
+        _, pool_ind = pool.eval_view()
     else:
         pool = None
     u_batch = opt_cfg.unlabeled_batch_size if pool is not None else 0
 
-    pseudo_y = None
-    if mode == "pseudo_label" and pool is not None:
+    pseudo_y = pseudo_weight = None
+    if "pseudo" in terms and pool is not None:
         pseudo_y = pseudo_label(teacher, pool.inputs)
+        pseudo_weight = (cfg.baselines.pseudo_weight * len(pool)
+                         / len(dataset.labeled_x))
 
     params = list(student.parameters())
-    if base == "srd":
+    if "srd" in terms:
         params += adaptor.parameters()
     opt = Sgd(params, opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay)
     det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
@@ -212,6 +245,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
             n_l = len(batch.labeled_x)
             x_u = batch.unlabeled_x
             u_idx = batch.unlabeled_idx
+            view2 = None
             if use_dac and len(x_u):
                 view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
                 view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
@@ -240,46 +274,16 @@ def train_with_mode(dataset, teacher, cfg, seed):
                 feats_t = np.concatenate([feats_t[:n_l], feats_t[n_l:][keep_rows]])
                 z_t = np.concatenate([z_t[:n_l], z_t[n_l:][keep_rows]])
 
-            feats_s, logits_s = student.forward(x_all, train=True)
-            logits_l = logits_s if len(x_all) == n_l else slice_rows(logits_s, 0, n_l)
-            ce = cross_entropy(softmax(logits_l), batch.labeled_y)
-            total = ce
-            srd_term = 0.0
-            reg_term = 0.0
-
-            if base == "srd":
-                x_a = adaptor(feats_s, train=True)
-                z_hat = teacher.classifier(x_a)
-                srd = srd_loss(cfg.srd.variant, Tensor(z_t), z_hat)
-                reg = feature_reg(feats_t, x_a)
-                total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
-                srd_term, reg_term = srd.item(), reg.item()
-            if base == "kd" or extra_kd:
-                kd = kd_loss(z_t, logits_s, cfg.srd.kd_temperature)
-                total = total + cfg.baselines.kd_weight * kd
-                if base == "kd":
-                    srd_term = kd.item()
-            if mode == "pseudo_label" and len(x_u):
-                logits_u = slice_rows(logits_s, n_l, len(x_all))
-                y_u = one_hot(pseudo_y[u_idx], p.classes)
-                ce_u = cross_entropy(softmax(logits_u), y_u)
-                # Union-mean CE: every pool sample counts like a labeled one,
-                # so the pool/labeled size ratio sets the mixing weight.
-                w_u = (cfg.baselines.pseudo_weight * len(pool)
-                       / len(dataset.labeled_x))
-                total = (ce + w_u * ce_u) * (1.0 / (1.0 + w_u))
-                srd_term = ce_u.item()
-            if use_dac and len(batch.unlabeled_x):
-                # z_t rows past n_l are already the teacher's view-1 logits.
-                _, z_s_v2 = student.forward(view2, train=True)
-                dac = -cosine_rows(z_s_v2, Tensor(z_t[n_l:])).mean()
-                total = total + cfg.baselines.dac_weight * dac
-
+            total, (ce, srd, reg) = stage2_loss(
+                terms, (teacher, student, adaptor), cfg, x_all, batch.labeled_y,
+                (feats_t, z_t),
+                pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
+                pseudo_weight=pseudo_weight, view2=view2)
             backward(total)
             opt.step()
-            sums["ce"] += ce.item()
-            sums["srd"] += srd_term
-            sums["reg"] += reg_term
+            sums["ce"] += ce
+            sums["srd"] += srd
+            sums["reg"] += reg
             sums["total"] += total.item()
             steps += 1
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .baselines import MODES
 from .data import PLACEMENTS, DatasetParams
-from .distill import VARIANTS, SrdConfig
+from .distill import MODES, VARIANTS, SrdConfig
 
 POLICIES = ("random", "teacher_score")
 

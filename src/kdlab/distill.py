@@ -1,11 +1,12 @@
-"""Distillation through the teacher's classifier, and its objectives.
+"""Distillation through the teacher's classifier, and the stage-2 modes.
 
 The central quantity is the cross-network logit: student features are
 mapped into the teacher's feature space by the adaptor and scored by the
 frozen teacher's own classifier. Matching those logits to the teacher's
 transfers the teacher's view of the student's representation, and with
 the bias-free classifier the mse variant is exactly a weighted distance
-between teacher features and adapted student features.
+between teacher features and adapted student features. ``MODES`` names
+the terms each stage-2 mode adds; ``baselines.stage2_loss`` builds them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,27 @@ import dataclasses
 import numpy as np
 
 from .autograd import (Tensor, backward, cross_entropy, kl_alignment, mse,
-                       mul, no_grad, slice_rows, softmax, softmax_values, sqrt)
+                       mul, softmax, softmax_values, sqrt)
 from .data import BatchSampler, one_hot
 from .optim import Sgd
 
 VARIANTS = ("kl", "mse", "pmse")
+
+# Stage-2 mode -> the loss terms it adds to the labeled cross-entropy
+# ("srd", "kd", "pseudo", "dac"), plus "ood" when the detector filters its
+# unlabeled batch. The table holds names, not functions, so the loss
+# functions are always looked up by name when a step is built.
+MODES = {
+    "supervised": (),
+    "kd": ("kd",),
+    "srd": ("srd",),
+    "srd+kd": ("srd", "kd"),
+    "kd+ood": ("kd", "ood"),
+    "srd+ood": ("srd", "ood"),
+    "kd+dac": ("kd", "dac"),
+    "srd+dac": ("srd", "dac"),
+    "pseudo_label": ("pseudo",),
+}
 
 
 class AccuracyFloorError(RuntimeError):
@@ -49,11 +66,6 @@ class SrdConfig:
             raise ValueError("SrdConfig: alpha and beta must be nonnegative")
         if self.kd_temperature <= 0.0:
             raise ValueError("SrdConfig: kd_temperature must be positive")
-
-
-def cross_network_logit(x_s, adaptor, classifier, train=False):
-    """Teacher-classifier logits of adapted student features."""
-    return classifier(adaptor(x_s, train=train))
 
 
 def srd_kl(z_t, z_hat):
@@ -97,98 +109,6 @@ def feature_reg(x_t, x_adapted):
     if per_row.ndim == 0:
         return per_row
     return per_row.mean()
-
-
-@dataclasses.dataclass
-class LossParts:
-    """Objective terms as graph tensors; ``total`` is what gets stepped."""
-
-    ce: Tensor
-    srd: Tensor
-    reg: Tensor
-    total: Tensor
-
-    def row(self):
-        return {"ce": self.ce.item(), "srd": self.srd.item(),
-                "reg": self.reg.item(), "total": self.total.item()}
-
-
-def _zero():
-    return Tensor(0.0)
-
-
-def objective_parts(batch, nets, cfg, train=True, teacher_out=None):
-    """Cross-entropy on the labeled rows plus distillation on all rows.
-
-    ``batch`` supplies labeled inputs/one-hot targets and (possibly
-    empty) unlabeled inputs; distillation terms run on the labeled and
-    unlabeled rows together, so an empty unlabeled part reduces exactly
-    to the labeled-only objective. ``teacher_out`` may carry precomputed
-    (features, logits) for the combined rows; the teacher is frozen, so
-    caching its outputs changes nothing.
-    """
-    teacher, student, adaptor = nets
-    n_l = len(batch.labeled_x)
-    if len(batch.unlabeled_x):
-        x_all = np.concatenate([batch.labeled_x, batch.unlabeled_x])
-    else:
-        x_all = batch.labeled_x
-
-    feats_s, logits_s = student.forward(x_all, train=train)
-    logits_l = _first_rows(logits_s, n_l)
-    y = batch.labeled_y if batch.labeled_y.ndim == 2 else one_hot(
-        batch.labeled_y, logits_s.shape[1])
-    ce = cross_entropy(softmax(logits_l), y)
-
-    if cfg.alpha == 0.0 and cfg.beta == 0.0:
-        return LossParts(ce=ce, srd=_zero(), reg=_zero(), total=ce)
-
-    if teacher_out is None:
-        with no_grad():
-            feats_t, logits_t = teacher.forward(x_all)
-        feats_t, logits_t = feats_t.values, logits_t.values
-    else:
-        feats_t, logits_t = teacher_out
-
-    x_adapted = adaptor(feats_s, train=train)
-    z_hat = teacher.classifier(x_adapted)
-    srd = srd_loss(cfg.variant, Tensor(logits_t), z_hat)
-    reg = feature_reg(feats_t, x_adapted)
-    total = ce + cfg.alpha * srd + cfg.beta * reg
-    return LossParts(ce=ce, srd=srd, reg=reg, total=total)
-
-
-def _first_rows(t, n):
-    if t.shape[0] == n:
-        return t
-    return slice_rows(t, 0, n)
-
-
-def labeled_objective(batch, nets, cfg, train=True):
-    """Supervised plus distillation terms over the labeled rows only."""
-    trimmed = dataclasses.replace(
-        batch,
-        unlabeled_x=np.zeros((0, batch.labeled_x.shape[1])),
-        unlabeled_idx=np.zeros(0, dtype=np.int64))
-    return objective_parts(trimmed, nets, cfg, train=train).total
-
-
-def semi_objective(batch, nets, cfg, train=True):
-    """Distillation over labeled and unlabeled rows, supervision on labeled."""
-    return objective_parts(batch, nets, cfg, train=train).total
-
-
-def train_step(batch, nets, opt, cfg, teacher_out=None):
-    """One optimization step of the semi-supervised objective.
-
-    Forward both networks on the combined rows, form the objective,
-    backpropagate, and apply the update. Returns the loss components of
-    the step as plain floats.
-    """
-    parts = objective_parts(batch, nets, cfg, train=True, teacher_out=teacher_out)
-    backward(parts.total)
-    opt.step()
-    return parts.row()
 
 
 def lr_at(base_lr, milestones, gamma, epoch):

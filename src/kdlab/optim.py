@@ -38,10 +38,3 @@ class Sgd:
         for p in self.params:
             if p.grad is not None:
                 p.grad[...] = 0.0
-
-
-def sgd_step(params, state):
-    """Apply one update from an ``Sgd`` state to its registered params."""
-    if list(params) != state.params:
-        raise ValueError("sgd_step: params do not match the optimizer state")
-    state.step()

@@ -51,13 +51,13 @@ def _dataset(cfg):
 
 def _trial(preset, mode, seed, variant=None, use_unlabeled=True):
     """One full stage-1 + stage-2 trial, memoized across criteria."""
-    key = (preset, mode, variant, use_unlabeled, seed)
+    cfg = override(_preset(preset), mode=mode, use_unlabeled=use_unlabeled)
+    if variant is not None:
+        cfg = dataclasses.replace(
+            cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
+    # Keyed on the resolved variant: naming the preset's own one reuses its trial.
+    key = (preset, mode, cfg.srd.variant, use_unlabeled, seed)
     if key not in _trials:
-        cfg = override(_preset(preset), mode=mode,
-                       use_unlabeled=use_unlabeled)
-        if variant is not None:
-            cfg = dataclasses.replace(
-                cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
         ds = _dataset(cfg)
         t0 = time.time()
         teacher = get_teacher(cfg, ds, seed)

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kdlab.autograd import Tensor, backward, softmax_values
-from kdlab.baselines import (MODES, OodDetector, cosine_rows, dac_loss,
-                             kd_loss, ood_filter, pseudo_label,
+from kdlab.autograd import Tensor, backward, no_grad, softmax_values
+from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
+                             ood_filter, pseudo_label, stage2_loss,
                              train_with_mode)
 from kdlab.config import override, parse_config
+from kdlab.data import augment, one_hot
 from kdlab.distill import pretrain_teacher
 from kdlab.metrics import roc_auc
 from kdlab.models import build_pair, make_network
@@ -130,34 +131,48 @@ def test_cosine_rows_oracle():
     assert np.max(np.abs(got - [1.0, 0.0, -1.0])) < 1e-9
 
 
+def _dac_step(cfg, ds, student, teacher, x_u, strength, rng):
+    """Weighted dac term of a ``stage2_loss`` step, views drawn as in training."""
+    view1 = augment(x_u, strength, rng)
+    view2 = augment(x_u, strength, rng)
+    x = np.concatenate([ds.labeled_x[:8], view1])
+    y = one_hot(ds.labeled_y[:8], cfg.dataset.classes)
+    with no_grad():
+        feats_t, z_t = teacher.forward(x)
+    total, (ce, _, _) = stage2_loss(("dac",), (teacher, student, None), cfg,
+                                    x, y, (feats_t.values, z_t.values),
+                                    view2=view2)
+    return total.item() - ce
+
+
 def test_dac_on_identical_networks_is_minus_one():
     """Zero jitter and a shared network leave perfectly aligned views."""
     cfg, ds, teacher = _setup()
     x = ds.unlabeled.inputs[:12]
-    loss = dac_loss(teacher, teacher, x, 0.0, np.random.default_rng(0))
-    assert abs(loss.item() + 1.0) < 1e-6
+    got = _dac_step(cfg, ds, teacher, teacher, x, 0.0, np.random.default_rng(0))
+    assert abs(got + cfg.baselines.dac_weight) < 1e-6
 
 
 def test_dac_zero_strength_matches_the_forward_oracle():
     cfg, ds, teacher = _setup()
     _, student, _ = build_pair(cfg, 1)
     x = ds.unlabeled.inputs[:12]
-    got = dac_loss(student, teacher, x, 0.0, np.random.default_rng(1)).item()
+    got = _dac_step(cfg, ds, student, teacher, x, 0.0, np.random.default_rng(1))
     _, z_t = teacher.forward(x)
     _, z_s = student.forward(x, train=True)
     zs, zt = z_s.values, z_t.values
     cos = (zs * zt).sum(axis=1) / (
         np.linalg.norm(zs, axis=1) * np.linalg.norm(zt, axis=1) + 1e-12)
-    assert abs(got + cos.mean()) < 1e-9
+    assert abs(got + cfg.baselines.dac_weight * cos.mean()) < 1e-9
 
 
 def test_dac_views_replay_under_a_fixed_stream():
     cfg, ds, teacher = _setup()
     _, student, _ = build_pair(cfg, 1)
     x = ds.unlabeled.inputs[:8]
-    a = dac_loss(student, teacher, x, 1.0, np.random.default_rng(7)).item()
-    b = dac_loss(student, teacher, x, 1.0, np.random.default_rng(7)).item()
-    c = dac_loss(student, teacher, x, 1.0, np.random.default_rng(8)).item()
+    a = _dac_step(cfg, ds, student, teacher, x, 1.0, np.random.default_rng(7))
+    b = _dac_step(cfg, ds, student, teacher, x, 1.0, np.random.default_rng(7))
+    c = _dac_step(cfg, ds, student, teacher, x, 1.0, np.random.default_rng(8))
     assert a == b
     assert a != c
 
@@ -250,13 +265,14 @@ def test_pseudo_label_with_no_pool_collapses_to_supervised():
     text = TINY.replace("overlap = 0.5", "overlap = 0.0") \
                .replace("unseen_classes = 2", "unseen_classes = 0") \
                .replace("unlabeled_per_class = 10", "unlabeled_per_class = 0")
-    cfg, ds, teacher = _setup(text=text)
-    assert len(ds.unlabeled) == 0
-    sup = train_with_mode(ds, teacher, override(cfg, mode="supervised"), 0)
-    psl = train_with_mode(ds, teacher, override(cfg, mode="pseudo_label"), 0)
-    for ra, rb in zip(sup.records, psl.records):
-        assert ra.total == rb.total
-    assert sup.top1 == psl.top1
+    no_pool = _setup(text=text)
+    assert len(no_pool[1].unlabeled) == 0
+    for cfg, ds, teacher in (no_pool, _setup(use_unlabeled=False)):
+        sup = train_with_mode(ds, teacher, override(cfg, mode="supervised"), 0)
+        psl = train_with_mode(ds, teacher, override(cfg, mode="pseudo_label"), 0)
+        for ra, rb in zip(sup.records, psl.records):
+            assert dataclasses.astuple(ra)[3:] == dataclasses.astuple(rb)[3:]
+        assert sup.top1 == psl.top1
 
 
 def test_use_unlabeled_off_trims_the_distillation_pool():
@@ -266,6 +282,25 @@ def test_use_unlabeled_off_trims_the_distillation_pool():
                           override(cfg, mode="srd", use_unlabeled=False), 0)
     assert any(ra.total != rb.total
                for ra, rb in zip(on.records, off.records))
+
+
+def test_ood_filter_that_drops_every_row_still_trains():
+    cfg, ds, teacher = _setup(mode="srd+ood")
+    keep_all, drop_all = (train_with_mode(ds, teacher, dataclasses.replace(
+        cfg, baselines=dataclasses.replace(cfg.baselines, ood_threshold=t)), 0)
+        for t in (0.0, 1.0))
+    labeled_only = train_with_mode(
+        ds, teacher, override(cfg, mode="srd", use_unlabeled=False), 0)
+    for rec, ref in zip(drop_all.records, labeled_only.records):
+        assert np.isfinite([rec.ce, rec.srd, rec.reg, rec.total]).all()
+        assert dataclasses.astuple(rec)[3:] == dataclasses.astuple(ref)[3:]
+    assert drop_all.top1 == labeled_only.top1
+    # threshold 0 keeps every row the batches offer; threshold 1 drops them
+    for kept, dropped in zip(keep_all.usage, drop_all.usage):
+        assert kept["kept_ind"] + kept["kept_ood"] > 0
+        assert dropped == {"epoch": kept["epoch"], "kept_ind": 0, "kept_ood": 0,
+                           "dropped_ind": kept["kept_ind"],
+                           "dropped_ood": kept["kept_ood"]}
 
 
 def test_training_replays_bit_for_bit():

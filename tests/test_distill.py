@@ -1,17 +1,18 @@
-"""Distillation identities, objective composition, stage-1 training."""
+"""Distillation identities, the stage-2 objective, stage-1 training."""
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from kdlab.autograd import Tensor, backward, matmul, softmax_values
-from kdlab.config import parse_config
-from kdlab.data import DatasetParams, StepBatch, generate, one_hot
-from kdlab.distill import (AccuracyFloorError, SrdConfig, feature_reg,
-                           labeled_objective, lr_at, objective_parts,
-                           pretrain_teacher, semi_objective, srd_loss,
-                           train_step)
+from kdlab.autograd import (Tensor, backward, cross_entropy, matmul, no_grad,
+                            softmax, softmax_values)
+from kdlab.baselines import MODES, stage2_loss, train_with_mode
+from kdlab.config import override, parse_config
+from kdlab.data import generate, one_hot
+from kdlab.distill import (AccuracyFloorError, SrdConfig, feature_reg, lr_at,
+                           pretrain_teacher, srd_loss)
 from kdlab.models import Classifier, build_pair
 from kdlab.optim import Sgd
 
@@ -40,13 +41,12 @@ milestones = 40
 """)
 
 
-def _batch(ds, rng, n_l=8, n_u=6):
+def _rows(ds, rng, n_l=8, n_u=6):
+    """Labeled rows then unlabeled rows, with the labeled one-hot targets."""
     li = rng.choice(len(ds.labeled_x), n_l, replace=False)
     ui = rng.choice(len(ds.unlabeled), n_u, replace=False)
-    return StepBatch(labeled_x=ds.labeled_x[li],
-                     labeled_y=one_hot(ds.labeled_y[li], ds.params.classes),
-                     unlabeled_x=ds.unlabeled.inputs[ui],
-                     unlabeled_idx=ui)
+    x = np.concatenate([ds.labeled_x[li], ds.unlabeled.inputs[ui]])
+    return x, one_hot(ds.labeled_y[li], ds.params.classes)
 
 
 # the logit-space identity
@@ -130,7 +130,7 @@ def test_feature_reg_pulls_only_the_adapted_side():
     assert x_t.grad is None or np.max(np.abs(x_t.grad)) == 0.0
 
 
-# objective composition
+# the stage-2 objective
 # ---------------------
 
 def _fresh(seed=0):
@@ -139,21 +139,34 @@ def _fresh(seed=0):
     return teacher, student, adaptor
 
 
-def test_empty_unlabeled_reduces_to_labeled_objective():
-    """The semi objective on an empty pool is the labeled one, bitwise."""
+def _srd(alpha=1.0, beta=1.0):
+    return dataclasses.replace(TINY_CFG, srd=SrdConfig(alpha=alpha, beta=beta))
+
+
+def _srd_loss(nets, x, y, cfg):
+    with no_grad():
+        feats_t, z_t = nets[0].forward(x)
+    return stage2_loss(("srd",), nets, cfg, x, y, (feats_t.values, z_t.values))
+
+
+def test_empty_unlabeled_equals_the_hand_composed_srd_step():
+    """An srd step on labeled rows only is the hand-composed sum, bitwise."""
     ds = generate(TINY_CFG.dataset)
-    rng = np.random.default_rng(31)
-    batch = _batch(ds, rng, n_u=0)
-    batch = StepBatch(batch.labeled_x, batch.labeled_y,
-                      np.zeros((0, ds.params.input_dim)),
-                      np.zeros(0, dtype=np.int64))
-    cfg = SrdConfig(variant="mse")
+    x, y = _rows(ds, np.random.default_rng(31), n_u=0)
+    cfg = _srd()
 
     nets_a = _fresh(5)
-    loss_a = semi_objective(batch, nets_a, cfg)
+    loss_a, _ = _srd_loss(nets_a, x, y, cfg)
     backward(loss_a)
-    nets_b = _fresh(5)
-    loss_b = labeled_objective(batch, nets_b, cfg)
+
+    teacher, student, adaptor = nets_b = _fresh(5)
+    with no_grad():
+        feats_t, z_t = teacher.forward(x)
+    feats_s, logits_s = student.forward(x, train=True)
+    x_a = adaptor(feats_s, train=True)
+    loss_b = (cross_entropy(softmax(logits_s), y)
+              + 1.0 * srd_loss("mse", Tensor(z_t.values), teacher.classifier(x_a))
+              + 1.0 * feature_reg(feats_t.values, x_a))
     backward(loss_b)
 
     assert loss_a.item() == loss_b.item()
@@ -164,71 +177,50 @@ def test_empty_unlabeled_reduces_to_labeled_objective():
 
 def test_unlabeled_rows_change_the_distillation_terms():
     ds = generate(TINY_CFG.dataset)
-    rng = np.random.default_rng(37)
-    batch = _batch(ds, rng, n_u=6)
+    x, y = _rows(ds, np.random.default_rng(37), n_u=6)
     nets = _fresh(1)
-    cfg = SrdConfig(variant="mse")
-    full = objective_parts(batch, nets, cfg, train=False)
-    trimmed = labeled_objective(batch, nets, cfg, train=False)
-    assert full.total.item() != trimmed.item()
+    full, _ = _srd_loss(nets, x, y, _srd())
+    trimmed, _ = _srd_loss(nets, x[:len(y)], y, _srd())
+    assert full.item() != trimmed.item()
 
 
 def test_zero_weights_reduce_to_plain_cross_entropy():
     ds = generate(TINY_CFG.dataset)
-    batch = _batch(ds, np.random.default_rng(41))
+    x, y = _rows(ds, np.random.default_rng(41))
     nets = _fresh(2)
-    parts = objective_parts(batch, nets, SrdConfig(alpha=0.0, beta=0.0))
-    assert parts.srd.item() == 0.0
-    assert parts.reg.item() == 0.0
-    assert parts.total.item() == parts.ce.item()
-    backward(parts.total)
+    total, (ce, _, _) = _srd_loss(nets, x, y, _srd(alpha=0.0, beta=0.0))
+    assert total.item() == ce
+    backward(total)
     # nothing reaches the adaptor when both terms are off
     assert all(np.max(np.abs(p.grad)) == 0.0 for p in nets[2].parameters())
 
 
-def test_cached_teacher_outputs_change_nothing():
+def test_every_mode_leaves_the_teacher_alone():
     ds = generate(TINY_CFG.dataset)
-    batch = _batch(ds, np.random.default_rng(43))
-    nets = _fresh(3)
-    teacher = nets[0]
-    x_all = np.concatenate([batch.labeled_x, batch.unlabeled_x])
-    feats, logits = teacher.forward(x_all)
-    cfg = SrdConfig(variant="kl")
-    a = objective_parts(batch, nets, cfg, train=False)
-    b = objective_parts(batch, nets, cfg, train=False,
-                        teacher_out=(feats.values, logits.values))
-    assert a.total.item() == b.total.item()
-
-
-def test_train_step_leaves_the_teacher_alone():
-    ds = generate(TINY_CFG.dataset)
-    nets = _fresh(4)
-    teacher, student, adaptor = nets
+    teacher = _fresh(4)[0]
     before = {k: v.copy() for k, v in teacher.state_arrays().items()}
-    opt = Sgd(student.parameters() + adaptor.parameters(), lr=0.05,
-              momentum=0.9)
-    rng = np.random.default_rng(47)
-    row = None
-    for _ in range(5):
-        row = train_step(_batch(ds, rng), nets, opt, SrdConfig())
-    after = teacher.state_arrays()
-    for name in before:
-        assert np.array_equal(before[name], after[name]), name
-    assert all(np.isfinite(v) for v in row.values())
-    assert set(row) == {"ce", "srd", "reg", "total"}
+    for mode in MODES:
+        result = train_with_mode(ds, teacher,
+                                 override(TINY_CFG, mode=mode, epochs=1), 0)
+        assert np.isfinite([result.records[0].total]).all(), mode
+        after = teacher.state_arrays()
+        for name in before:
+            assert np.array_equal(before[name], after[name]), (mode, name)
 
 
 def test_repeated_steps_descend_on_a_fixed_batch():
     ds = generate(TINY_CFG.dataset)
     nets = _fresh(6)
-    batch = _batch(ds, np.random.default_rng(53))
+    x, y = _rows(ds, np.random.default_rng(53))
     opt = Sgd(nets[1].parameters() + nets[2].parameters(), lr=0.02,
               momentum=0.9)
-    first = train_step(batch, nets, opt, SrdConfig())["total"]
-    last = None
-    for _ in range(40):
-        last = train_step(batch, nets, opt, SrdConfig())["total"]
-    assert last < first
+    totals = []
+    for _ in range(41):
+        total, _ = _srd_loss(nets, x, y, _srd())
+        backward(total)
+        opt.step()
+        totals.append(total.item())
+    assert totals[-1] < totals[0]
 
 
 # schedule and stage 1
