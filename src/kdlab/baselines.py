@@ -22,6 +22,13 @@ from .metrics import MetricsRecord, evaluate_accuracy, mimicry_kl, top_k_accurac
 from .models import build_pair
 from .optim import Sgd
 
+# Rows per frozen-teacher forward when its outputs are cached for a trial.
+TEACHER_CHUNK = 256
+
+# MODES terms that read the frozen teacher's per-row outputs; a mode with
+# none of them (supervised, pseudo_label) never runs the teacher per row.
+TEACHER_TERMS = ("srd", "kd", "ood", "dac")
+
 
 def kd_loss(z_t, z_s, temperature):
     """Logit matching at temperature T, scaled by T^2.
@@ -47,6 +54,25 @@ def pseudo_label(teacher, x):
     with no_grad():
         _, logits = teacher.forward(x)
     return np.argmax(logits.values, axis=1)
+
+
+def teacher_outputs(teacher, x):
+    """The frozen teacher's (features, logits) arrays over the rows of ``x``.
+
+    Forwards ``TEACHER_CHUNK`` rows at a time so peak memory stays flat
+    however many rows there are. A row's outputs do not depend on the
+    rows forwarded beside it, except that a one-row product takes BLAS's
+    matrix-vector path, which rounds differently; a lone row is forwarded
+    twice over and the copy dropped.
+    """
+    feats, logits = [], []
+    for start in range(0, len(x), TEACHER_CHUNK):
+        rows = x[start:start + TEACHER_CHUNK]
+        with no_grad():
+            f, z = teacher.forward(rows if len(rows) > 1 else np.repeat(rows, 2, axis=0))
+        feats.append(f.values[:len(rows)])
+        logits.append(z.values[:len(rows)])
+    return np.concatenate(feats), np.concatenate(logits)
 
 
 def cosine_rows(a, b):
@@ -137,7 +163,8 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
 
     ``x`` holds the labeled rows (one per row of the one-hot ``y``), then
     the unlabeled rows that passed the filter; ``teacher_out`` is the
-    frozen teacher's (features, logits) over the same rows. ``terms`` is a
+    frozen teacher's (features, logits) over the same rows, or None when
+    no term reads it. ``terms`` is a
     ``MODES`` entry: srd (with its feature regularizer), kd, pseudo and dac
     join the labeled cross-entropy in that order. pseudo needs the
     teacher's hard labels for the unlabeled rows and their weight; dac
@@ -145,7 +172,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     kd term in modes without srd and the pool cross-entropy under pseudo.
     """
     teacher, student, adaptor = nets
-    feats_t, z_t = teacher_out
+    feats_t, z_t = teacher_out or (None, None)
     n_l = len(y)
     feats_s, logits_s = student.forward(x, train=True)
     logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
@@ -222,6 +249,16 @@ def train_with_mode(dataset, teacher, cfg, seed):
         pseudo_weight = (cfg.baselines.pseudo_weight * len(pool)
                          / len(dataset.labeled_x))
 
+    # The teacher is frozen, so its outputs on a row never change: forward
+    # the labeled rows and the pool once and gather them per step. +dac
+    # draws a fresh view of its unlabeled rows every step, so those are
+    # the only rows still forwarded per step.
+    labeled_out = pool_out = None
+    if any(term in terms for term in TEACHER_TERMS):
+        labeled_out = teacher_outputs(teacher, dataset.labeled_x)
+        if u_batch and not use_dac:
+            pool_out = teacher_outputs(teacher, pool.inputs)
+
     params = list(student.parameters())
     if "srd" in terms:
         params += adaptor.parameters()
@@ -252,9 +289,13 @@ def train_with_mode(dataset, teacher, cfg, seed):
                 x_u = view1
             x_all = np.concatenate([batch.labeled_x, x_u]) if len(x_u) else batch.labeled_x
 
-            with no_grad():
-                feats_t, z_t = teacher.forward(x_all)
-            feats_t, z_t = feats_t.values, z_t.values
+            if labeled_out is not None:
+                parts = [[out[batch.labeled_idx] for out in labeled_out]]
+                if view2 is not None:
+                    parts.append(teacher_outputs(teacher, x_u))
+                elif len(x_u):
+                    parts.append([out[u_idx] for out in pool_out])
+                feats_t, z_t = (np.concatenate(group) for group in zip(*parts))
 
             if use_ood and len(x_u):
                 kept, stats = ood_filter(detector, feats_t[n_l:], pool_ind[u_idx])
@@ -276,7 +317,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
 
             total, (ce, srd, reg) = stage2_loss(
                 terms, (teacher, student, adaptor), cfg, x_all, batch.labeled_y,
-                (feats_t, z_t),
+                None if labeled_out is None else (feats_t, z_t),
                 pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
                 pseudo_weight=pseudo_weight, view2=view2)
             backward(total)

@@ -239,12 +239,15 @@ def select_unlabeled(pool: UnlabeledPool, fraction, policy, teacher=None, seed=0
 class StepBatch:
     """One optimization step's worth of data.
 
-    ``unlabeled_idx`` indexes into the selected pool so usage reporting
-    can recover hidden flags; training code must touch only the inputs.
+    ``labeled_idx`` indexes the labeled rows drawn and ``unlabeled_idx``
+    the selected pool, so per-row outputs computed once per trial can be
+    gathered and usage reporting can recover hidden flags; training code
+    must touch only the inputs.
     """
 
     labeled_x: np.ndarray
     labeled_y: np.ndarray
+    labeled_idx: np.ndarray
     unlabeled_x: np.ndarray
     unlabeled_idx: np.ndarray
 
@@ -293,6 +296,7 @@ class BatchSampler:
                 u_idx = np.zeros(0, dtype=np.int64)
             yield StepBatch(labeled_x=labeled_x[rows],
                             labeled_y=labeled_y[rows],
+                            labeled_idx=rows,
                             unlabeled_x=unlabeled_x[u_idx] if n_u else
                             np.zeros((0, labeled_x.shape[1])),
                             unlabeled_idx=u_idx)

@@ -8,6 +8,8 @@ the teacher's classifier can score adapted student features directly.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .autograd import Tensor, matmul, no_grad, sqrt
@@ -276,7 +278,9 @@ def save_checkpoint(path, named_arrays):
 
     Header lines are the magic string, one ``name dim0 dim1 ...`` line per
     array in sorted-name order, and a lone ``data`` line; the payload is
-    each array's bytes in header order. Round-trips bit-exactly.
+    each array's bytes in header order. Round-trips bit-exactly. The file
+    is written next to ``path`` under a temporary name and moved into
+    place, so ``path`` never holds a partial checkpoint.
     """
     names = sorted(named_arrays)
     lines = [CHECKPOINT_MAGIC]
@@ -284,14 +288,25 @@ def save_checkpoint(path, named_arrays):
         arr = named_arrays[name]
         lines.append(" ".join([name, *[str(d) for d in arr.shape]]))
     lines.append("data")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for name in names:
-            fh.write(np.ascontiguousarray(named_arrays[name], dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            for name in names:
+                fh.write(np.ascontiguousarray(named_arrays[name], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a dict of float64 arrays."""
+    """Read a checkpoint back into a dict of float64 arrays.
+
+    The payload must hold exactly the bytes the header declares; a short
+    or overlong payload raises ``ValueError`` naming the path and array.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     head, _, rest = blob.partition(b"data\n")
@@ -300,13 +315,23 @@ def load_checkpoint(path):
         raise ValueError(f"load_checkpoint: bad header in {path}")
     out = {}
     offset = 0
+    name = None
     for line in lines[1:]:
         if not line.strip():
             continue
         name, *dims = line.split()
         shape = tuple(int(d) for d in dims)
         count = int(np.prod(shape)) if shape else 1
+        if offset + count * 8 > len(rest):
+            raise ValueError(
+                f"load_checkpoint: {path}: payload ends inside array {name!r} "
+                f"({len(rest) - offset} of {count * 8} bytes)")
         arr = np.frombuffer(rest, dtype="<f8", count=count, offset=offset)
         out[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
+    if offset != len(rest):
+        where = f"array {name!r}" if name is not None else "the header"
+        raise ValueError(
+            f"load_checkpoint: {path}: {len(rest) - offset} trailing bytes "
+            f"after {where}")
     return out

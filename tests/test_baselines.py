@@ -5,15 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kdlab import baselines, metrics
 from kdlab.autograd import Tensor, backward, no_grad, softmax_values
 from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
                              ood_filter, pseudo_label, stage2_loss,
-                             train_with_mode)
+                             teacher_outputs, train_with_mode)
 from kdlab.config import override, parse_config
-from kdlab.data import augment, one_hot
+from kdlab.data import BatchSampler, augment, generate, one_hot, select_unlabeled
 from kdlab.distill import pretrain_teacher
 from kdlab.metrics import roc_auc
-from kdlab.models import build_pair, make_network
+from kdlab.models import Network, build_pair, make_network
 from kdlab.optim import Sgd
 
 TINY = """
@@ -47,8 +48,6 @@ seeds = 0
 
 
 def _setup(text=TINY, **run_updates):
-    from kdlab.data import generate
-
     cfg = override(parse_config(text), **run_updates)
     ds = generate(cfg.dataset)
     teacher, _, _ = build_pair(cfg, 0)
@@ -221,6 +220,133 @@ def test_detector_separates_disjoint_clusters():
     scores = det.scores(np.concatenate([pos, neg]))
     truth = np.concatenate([np.ones(80), np.zeros(80)]) > 0.5
     assert roc_auc(scores, truth) > 0.95
+
+
+# the frozen teacher's outputs, computed once per trial
+# -----------------------------------------------------
+
+def _preset_teacher():
+    cfg = parse_config("")
+    teacher, _, _ = build_pair(cfg, 0)
+    teacher.set_frozen(True)
+    return cfg, generate(cfg.dataset), teacher
+
+
+def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
+    """Chunked once-per-trial outputs equal the per-step forwards bit for bit.
+
+    Standard preset: its teacher, 800 labeled rows, a 2040-row pool, steps
+    of 32 labeled + 64 pool rows (+dac forwards the 64 pool rows alone).
+    A BLAS whose per-row results depend on the rows beside them fails
+    here instead of changing artifact bytes.
+    """
+    cfg, ds, teacher = _preset_teacher()
+    pool = ds.unlabeled.inputs
+    assert (len(ds.labeled_x), len(pool)) == (800, 2040)
+    feats_l, z_l = teacher_outputs(teacher, ds.labeled_x)
+    feats_u, z_u = teacher_outputs(teacher, pool)
+    o = cfg.optimizer
+    sampler = BatchSampler(o.batch_size, o.unlabeled_batch_size, seed=0)
+    for batch in sampler.epoch_batches(ds.labeled_x, ds.labeled_y, pool, epoch=0):
+        l_idx, u_idx = batch.labeled_idx, batch.unlabeled_idx
+        f, z = teacher.forward(np.concatenate([batch.labeled_x, batch.unlabeled_x]))
+        assert np.array_equal(f.values, np.concatenate([feats_l[l_idx], feats_u[u_idx]]))
+        assert np.array_equal(z.values, np.concatenate([z_l[l_idx], z_u[u_idx]]))
+        f, z = teacher.forward(batch.unlabeled_x)
+        assert np.array_equal(f.values, feats_u[u_idx])
+        assert np.array_equal(z.values, z_u[u_idx])
+
+
+def test_a_lone_row_gets_the_outputs_it_has_inside_a_batch(monkeypatch):
+    cfg, ds, teacher = _preset_teacher()
+    x = ds.unlabeled.inputs[:9]
+    f, z = teacher.forward(x)
+    assert np.array_equal(teacher_outputs(teacher, x[:1])[1], z.values[:1])
+    monkeypatch.setattr(baselines, "TEACHER_CHUNK", 4)  # chunks of 4, 4 and 1
+    feats, logits = teacher_outputs(teacher, x)
+    assert np.array_equal(feats, f.values)
+    assert np.array_equal(logits, z.values)
+
+
+def _teacher_forwards(monkeypatch, cfg, ds, teacher):
+    """Frozen-teacher forwards in one trial, less mimicry_kl's one at the end."""
+    calls, at_end = [], []
+    forward = Network.forward
+
+    def counted(net, x, train=False):
+        if net is teacher:
+            calls.append(len(x))
+        return forward(net, x, train)
+
+    def mimicry(t, s, x):
+        at_end.append(len(calls))
+        return metrics.mimicry_kl(t, s, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(Network, "forward", counted)
+        m.setattr(baselines, "mimicry_kl", mimicry)
+        train_with_mode(ds, teacher, cfg, 0)
+    assert len(calls) == at_end[0] + 1
+    return at_end[0]
+
+
+def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):
+    cfg, ds, teacher = _setup()
+    steps = BatchSampler(cfg.optimizer.batch_size, 0, 0).epoch_length(len(ds.labeled_x))
+
+    def forwards(mode, epochs):
+        return _teacher_forwards(monkeypatch, override(cfg, mode=mode, epochs=epochs),
+                                 ds, teacher)
+
+    assert forwards("supervised", 1) == forwards("supervised", 3) == 0
+    # one forward of the labeled rows and one of the pool (48 and 40 rows)
+    for mode in ("srd", "kd", "srd+ood"):
+        assert forwards(mode, 1) == forwards(mode, 3) == 2, mode
+    # the labeled rows once, then every step's fresh view of its pool rows
+    assert forwards("srd+dac", 1) == 1 + steps
+    assert forwards("srd+dac", 3) == 1 + 3 * steps
+
+
+def test_zero_epochs_return_the_initial_student():
+    cfg, ds, teacher = _setup(epochs=0)
+    _, init, _ = build_pair(cfg, 0)
+    for mode in ("supervised", "srd", "srd+ood", "srd+dac"):
+        result = train_with_mode(ds, teacher, override(cfg, mode=mode), 0)
+        assert result.records == [] and result.usage == [], mode
+        state = result.student.state_arrays()
+        for name, arr in init.state_arrays().items():
+            assert np.array_equal(state[name], arr), (mode, name)
+        assert 0.0 <= result.top1 <= 1.0 and np.isfinite(result.mimicry)
+
+
+def test_a_one_row_pool_trains_under_ood_and_dac():
+    cfg, ds, teacher = _setup(unlabeled_fraction=0.01)
+    assert len(select_unlabeled(ds.unlabeled, 0.01, cfg.run.selection_policy)) == 1
+    steps = BatchSampler(cfg.optimizer.batch_size, 0, 0).epoch_length(len(ds.labeled_x))
+    for mode in ("srd+ood", "srd+dac"):
+        result = train_with_mode(ds, teacher, override(cfg, mode=mode), 0)
+        assert len(result.records) == cfg.run.epochs, mode
+        for rec in result.records:
+            assert np.isfinite([rec.ce, rec.srd, rec.reg, rec.total]).all(), mode
+    # every step draws the one row unlabeled_batch_size times
+    for row in train_with_mode(ds, teacher, override(cfg, mode="srd+ood"), 0).usage:
+        ind, ood = row["kept_ind"] + row["dropped_ind"], row["kept_ood"] + row["dropped_ood"]
+        assert ind + ood == steps * cfg.optimizer.unlabeled_batch_size
+        assert min(ind, ood) == 0
+
+
+def test_ood_with_no_unlabeled_rows_per_step_trains_on_the_labeled_rows():
+    cfg, ds, teacher = _setup(mode="srd+ood")
+    cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
+        cfg.optimizer, unlabeled_batch_size=0))
+    result = train_with_mode(ds, teacher, cfg, 0)
+    labeled_only = train_with_mode(
+        ds, teacher, override(cfg, mode="srd", use_unlabeled=False), 0)
+    for rec, ref in zip(result.records, labeled_only.records, strict=True):
+        assert dataclasses.astuple(rec)[3:] == dataclasses.astuple(ref)[3:]
+    assert result.top1 == labeled_only.top1
+    assert result.usage == [{"epoch": e, "kept_ind": 0, "kept_ood": 0, "dropped_ind": 0,
+                             "dropped_ood": 0} for e in range(cfg.run.epochs)]
 
 
 # the composed engine

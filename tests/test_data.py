@@ -207,9 +207,10 @@ def test_sampler_visits_each_labeled_row_exactly_once():
     assert len(batches) == sampler.epoch_length(n) == 4
     seen = np.concatenate([b.labeled_x[:, 0] for b in batches])
     assert sorted(seen.tolist()) == list(range(n))
-    # labels travel with their rows
+    # labels travel with their rows, which the batch's indices name
     for b in batches:
         assert np.array_equal(b.labeled_x, b.labeled_y)
+        assert np.array_equal(ids[b.labeled_idx], b.labeled_x)
 
 
 def test_sampler_cycles_unlabeled_without_replacement():
@@ -227,6 +228,7 @@ def test_sampler_cycles_unlabeled_without_replacement():
     assert len(set(stream[:m].tolist())) == m
     for b in sampler.epoch_batches(ids, ids, pool, epoch=1):
         assert np.array_equal(b.unlabeled_x[:, 0], pool[b.unlabeled_idx, 0])
+        assert np.array_equal(ids[b.labeled_idx], b.labeled_x)
 
 
 def test_sampler_is_a_pure_function_of_seed_and_epoch():
@@ -236,16 +238,18 @@ def test_sampler_is_a_pure_function_of_seed_and_epoch():
 
     def replay(seed, epoch):
         s = BatchSampler(4, 3, seed)
-        return [(b.labeled_x.copy(), b.unlabeled_idx.copy())
+        return [(b.labeled_x.copy(), b.labeled_idx.copy(), b.unlabeled_idx.copy())
                 for b in s.epoch_batches(ids, ids, pool, epoch)]
 
     a = replay(11, 0)
     b = replay(11, 0)
-    for (xa, ua), (xb, ub) in zip(a, b):
+    for (xa, la, ua), (xb, lb, ub) in zip(a, b):
         assert np.array_equal(xa, xb)
+        assert np.array_equal(la, lb)
+        assert np.array_equal(ids[la], xa)
         assert np.array_equal(ua, ub)
     c = replay(11, 1)
-    assert any(not np.array_equal(xa, xc) for (xa, _), (xc, _) in zip(a, c))
+    assert any(not np.array_equal(xa, xc) for (xa, _, _), (xc, _, _) in zip(a, c))
 
 
 def test_sampler_handles_missing_unlabeled_pool():
@@ -254,6 +258,7 @@ def test_sampler_handles_missing_unlabeled_pool():
     for b in sampler.epoch_batches(ids, ids, np.zeros((0, 1)), epoch=0):
         assert b.unlabeled_x.shape == (0, 1)
         assert len(b.unlabeled_idx) == 0
+        assert np.array_equal(ids[b.labeled_idx], b.labeled_x)
 
 
 # serialization

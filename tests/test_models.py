@@ -109,6 +109,42 @@ def test_checkpoint_rejects_foreign_header(tmp_path):
         load_checkpoint(str(path))
 
 
+def _small_checkpoint(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    return path
+
+
+def test_checkpoint_rejects_a_short_payload(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"net\.ckpt.*payload ends inside array 'b'"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match=r"net\.ckpt.*8 trailing bytes after array 'b'"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_write_that_fails_midway_leaves_no_file(tmp_path):
+    path = tmp_path / "teacher.ckpt"
+    # "z" sorts last, so the header and "a" are written before it fails.
+    broken = {"a": np.ones(3), "z": np.array(["not a number"], dtype=object)}
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), broken)
+    assert list(tmp_path.iterdir()) == []
+    # an existing checkpoint survives a failed overwrite untouched
+    save_checkpoint(str(path), {"a": np.ones(3)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), broken)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_state_restores_forward_exactly(tmp_path):
     arch = ArchParams(hidden=(6,), feature_dim=4, feature_norm=True)
     src = make_network(5, arch, classes=3, seed=1)
