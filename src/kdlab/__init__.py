@@ -14,9 +14,9 @@ seeded runs replay bit for bit.
 """
 
 from .autograd import (LOG_FLOOR, NumericError, ShapeError, Tensor, backward,
-                       cross_entropy, kl_alignment, matmul, mse, no_grad,
-                       relu, sigmoid, slice_rows, softmax, softmax_values,
-                       sqrt)
+                       batch_norm, cross_entropy, kl_alignment, linear, matmul,
+                       mse, no_grad, relu, sigmoid, slice_rows, softmax,
+                       softmax_values, sqrt)
 from .baselines import (MODES, OodDetector, RunResult, cosine_rows, kd_loss,
                         ood_filter, pseudo_label, stage2_loss, train_with_mode)
 from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,
@@ -25,7 +25,7 @@ from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,
 from .data import (BatchSampler, DatasetParams, OpenSetDataset, StepBatch,
                    UnlabeledPool, augment, generate, load_dataset, one_hot,
                    save_dataset, select_unlabeled)
-from .distill import (AccuracyFloorError, SrdConfig, feature_reg,
+from .distill import (AccuracyFloorError, DivergenceError, SrdConfig, feature_reg,
                       pretrain_teacher, srd_kl, srd_loss, srd_mse, srd_pmse)
 from .harness import compare, get_teacher, run, sweep, teacher_cache_key
 from .metrics import (MetricsRecord, entropy, evaluate_accuracy, feature_dump,

@@ -245,6 +245,86 @@ def matmul(a, b):
     return _make(values, "matmul", (a, b), rule)
 
 
+def linear(x, w, b, relu=False):
+    """Dense layer ``x @ w + b``, optionally followed by ReLU, as one node.
+
+    Values and gradients are bit-identical to ``matmul`` then ``add``
+    (then ``relu``); the backward computes only the gradients of parents
+    that require one.
+    """
+    x, w, b = _promote(x), _promote(w), _promote(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear: expects 2-d operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x.shape} vs {w.shape}")
+    try:
+        values = x.values @ w.values + b.values
+    except ValueError:
+        raise ShapeError(f"linear: bias shape {b.shape} does not fit "
+                         f"output shape {(x.shape[0], w.shape[1])}") from None
+    mask = None
+    if relu:
+        mask = values > 0.0
+        values = values * mask
+
+    def rule(g):
+        if mask is not None:
+            g = g * mask
+        return (g @ w.values.T if x.requires_grad else None,
+                x.values.T @ g if w.requires_grad else None,
+                _unbroadcast(g, b.values.shape) if b.requires_grad else None)
+
+    return _make(values, "linear", (x, w, b), rule)
+
+
+def batch_norm(x, gamma, beta, eps):
+    """Training-mode batch normalization over the rows of ``x``, as one node.
+
+    Returns ``(out, mean, var)``: the normalized, scaled and shifted
+    output plus the batch mean and (biased) variance arrays for the
+    running-statistic update. Values and gradients are bit-identical to
+    the composed graph ``c = x - x.mean(0)``, ``v = (c * c).mean(0)``,
+    ``c / sqrt(v + eps) * gamma + beta``: the backward repeats its
+    operations in the order the graph walk would run them.
+    """
+    x, gamma, beta = _promote(x), _promote(gamma), _promote(beta)
+    if x.ndim != 2:
+        raise ShapeError(f"batch_norm: expects 2-d input, got {x.shape}")
+    n = x.values.shape[0]
+    if n == 0:
+        raise ShapeError(f"batch_norm: empty batch, shape {x.shape}")
+    inv_n = 1.0 / n
+    mean = x.values.sum(axis=0) * inv_n
+    centered = x.values - mean
+    var = (centered * centered).sum(axis=0) * inv_n
+    scale = np.sqrt(var + eps)
+    normed = centered / scale
+    values = normed * gamma.values + beta.values
+
+    def rule(g):
+        g_gamma = g_beta = None
+        if gamma.requires_grad:
+            g_gamma = _unbroadcast(g * normed, gamma.values.shape)
+        if beta.requires_grad:
+            g_beta = _unbroadcast(g, beta.values.shape)
+        if not x.requires_grad:
+            return None, g_gamma, g_beta
+        g_normed = g * gamma.values
+        # centered: the division's branch first, then both factors of c * c.
+        g_centered = g_normed / scale
+        g_scale = _unbroadcast(-g_normed * centered / (scale * scale), scale.shape)
+        g_var = g_scale / (2.0 * np.maximum(scale, LOG_FLOOR))
+        g_square = np.broadcast_to(g_var * inv_n, centered.shape)
+        g_centered = g_centered + g_square * centered
+        g_centered = g_centered + g_square * centered
+        # x: the subtraction's branch first, then the mean's.
+        g_mean = -_unbroadcast(g_centered, mean.shape)
+        g_x = g_centered + np.broadcast_to(g_mean * inv_n, centered.shape)
+        return g_x, g_gamma, g_beta
+
+    return _make(values, "batch_norm", (x, gamma, beta), rule), mean, var
+
+
 def relu(a):
     a = _promote(a)
     mask = a.values > 0.0

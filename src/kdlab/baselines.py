@@ -10,14 +10,15 @@ and hard pseudo-labeling of the unlabeled pool.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .autograd import (Tensor, backward, cross_entropy, kl_alignment, log,
-                       mul, no_grad, sigmoid, slice_rows, softmax,
-                       softmax_values, sqrt)
+from .autograd import (NumericError, Tensor, backward, cross_entropy,
+                       kl_alignment, log, mul, no_grad, sigmoid, slice_rows,
+                       softmax, softmax_values, sqrt)
 from .data import BatchSampler, augment, one_hot, select_unlabeled
-from .distill import MODES, feature_reg, lr_at, srd_loss
+from .distill import MODES, DivergenceError, feature_reg, lr_at, srd_loss
 from .metrics import MetricsRecord, evaluate_accuracy, mimicry_kl, top_k_accuracy
 from .models import build_pair
 from .optim import Sgd
@@ -170,40 +171,51 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     teacher's hard labels for the unlabeled rows and their weight; dac
     needs the second view of the unlabeled rows. The reported srd is the
     kd term in modes without srd and the pool cross-entropy under pseudo.
+    A ``NumericError`` raised while a term is built leaves with that
+    term's name ("ce" for the labeled cross-entropy) as ``exc.term``.
     """
     teacher, student, adaptor = nets
     feats_t, z_t = teacher_out or (None, None)
     n_l = len(y)
-    feats_s, logits_s = student.forward(x, train=True)
-    logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
-    ce = cross_entropy(softmax(logits_l), y)
-    total = ce
-    srd_term = reg_term = 0.0
+    term = "ce"
+    try:
+        feats_s, logits_s = student.forward(x, train=True)
+        logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
+        ce = cross_entropy(softmax(logits_l), y)
+        total = ce
+        srd_term = reg_term = 0.0
 
-    if "srd" in terms:
-        x_a = adaptor(feats_s, train=True)
-        z_hat = teacher.classifier(x_a)
-        srd = srd_loss(cfg.srd.variant, Tensor(z_t), z_hat)
-        reg = feature_reg(feats_t, x_a)
-        total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
-        srd_term, reg_term = srd.item(), reg.item()
-    if "kd" in terms:
-        kd = kd_loss(z_t, logits_s, cfg.srd.kd_temperature)
-        total = total + cfg.baselines.kd_weight * kd
-        if "srd" not in terms:
-            srd_term = kd.item()
-    if "pseudo" in terms and len(x) > n_l:
-        logits_u = slice_rows(logits_s, n_l, len(x))
-        ce_u = cross_entropy(softmax(logits_u), one_hot(pseudo_y, logits_s.shape[1]))
-        # Union-mean CE: every pool sample counts like a labeled one,
-        # so the pool/labeled size ratio sets the mixing weight.
-        total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
-        srd_term = ce_u.item()
-    if "dac" in terms and len(x) > n_l:
-        # Two-view consistency: the teacher's logits past n_l are on view 1.
-        _, z_s_v2 = student.forward(view2, train=True)
-        dac = -cosine_rows(z_s_v2, Tensor(z_t[n_l:])).mean()
-        total = total + cfg.baselines.dac_weight * dac
+        if "srd" in terms:
+            term = "srd"
+            x_a = adaptor(feats_s, train=True)
+            z_hat = teacher.classifier(x_a)
+            srd = srd_loss(cfg.srd.variant, Tensor(z_t), z_hat)
+            reg = feature_reg(feats_t, x_a)
+            total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
+            srd_term, reg_term = srd.item(), reg.item()
+        if "kd" in terms:
+            term = "kd"
+            kd = kd_loss(z_t, logits_s, cfg.srd.kd_temperature)
+            total = total + cfg.baselines.kd_weight * kd
+            if "srd" not in terms:
+                srd_term = kd.item()
+        if "pseudo" in terms and len(x) > n_l:
+            term = "pseudo"
+            logits_u = slice_rows(logits_s, n_l, len(x))
+            ce_u = cross_entropy(softmax(logits_u), one_hot(pseudo_y, logits_s.shape[1]))
+            # Union-mean CE: every pool sample counts like a labeled one,
+            # so the pool/labeled size ratio sets the mixing weight.
+            total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
+            srd_term = ce_u.item()
+        if "dac" in terms and len(x) > n_l:
+            term = "dac"
+            # Two-view consistency: the teacher's logits past n_l are on view 1.
+            _, z_s_v2 = student.forward(view2, train=True)
+            dac = -cosine_rows(z_s_v2, Tensor(z_t[n_l:])).mean()
+            total = total + cfg.baselines.dac_weight * dac
+    except NumericError as exc:
+        exc.term = term
+        raise
     return total, (ce.item(), srd_term, reg_term)
 
 
@@ -212,7 +224,8 @@ def train_with_mode(dataset, teacher, cfg, seed):
 
     The teacher must be frozen. Student and adaptor initialization,
     batch order, augmentation draws and detector updates all derive from
-    ``seed``, so a trial replays bit for bit.
+    ``seed``, so a trial replays bit for bit. A non-finite loss raises
+    ``DivergenceError``.
     """
     if not teacher.frozen:
         raise ValueError("train_with_mode: teacher must be frozen")
@@ -315,17 +328,26 @@ def train_with_mode(dataset, teacher, cfg, seed):
                 feats_t = np.concatenate([feats_t[:n_l], feats_t[n_l:][keep_rows]])
                 z_t = np.concatenate([z_t[:n_l], z_t[n_l:][keep_rows]])
 
-            total, (ce, srd, reg) = stage2_loss(
-                terms, (teacher, student, adaptor), cfg, x_all, batch.labeled_y,
-                None if labeled_out is None else (feats_t, z_t),
-                pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
-                pseudo_weight=pseudo_weight, view2=view2)
+            try:
+                total, (ce, srd, reg) = stage2_loss(
+                    terms, (teacher, student, adaptor), cfg, x_all, batch.labeled_y,
+                    None if labeled_out is None else (feats_t, z_t),
+                    pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
+                    pseudo_weight=pseudo_weight, view2=view2)
+            except NumericError as exc:
+                raise DivergenceError(mode, seed, epoch, steps, exc.term, exc) from exc
+            value = total.item()
+            if not math.isfinite(value):
+                parts = {"ce": ce, "srd": srd, "reg": reg, "total": value}
+                term = next(k for k, v in parts.items() if not math.isfinite(v))
+                raise DivergenceError(mode, seed, epoch, steps, term,
+                                      ", ".join(f"{k} {v}" for k, v in parts.items()))
             backward(total)
             opt.step()
             sums["ce"] += ce
             sums["srd"] += srd
             sums["reg"] += reg
-            sums["total"] += total.item()
+            sums["total"] += value
             steps += 1
 
         train_acc = evaluate_accuracy(student, dataset.labeled_x, dataset.labeled_y)

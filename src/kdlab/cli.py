@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when teacher
-pretraining misses its accuracy floor, 1 for other failures.
+pretraining misses its accuracy floor, 4 when training diverges to a
+non-finite loss, 1 for other failures.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .config import ConfigError, format_config, override, parse_config
 from .data import export_csv, generate, save_dataset
-from .distill import AccuracyFloorError
+from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher,
                       run, sweep, teacher_cache_key, write_compare_csv)
 from .metrics import evaluate_accuracy, feature_dump
@@ -203,6 +204,9 @@ def main(argv=None):
     except AccuracyFloorError as exc:
         print(f"pretraining failed: {exc}", file=sys.stderr)
         return 3
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 4
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,13 @@ import io
 import numpy as np
 
 from .autograd import no_grad, softmax_values
+from .fileio import atomic_open
 
 DATASET_MAGIC = "kdlab-dataset 1"
+
+# Payload blocks of a dataset file, in file order.
+DATASET_BLOCKS = ("labeled_x", "labeled_y", "test_x", "test_y", "unlabeled_x",
+                  "unlabeled_tags", "unlabeled_ind")
 
 PLACEMENTS = ("mixed", "near", "far")
 
@@ -303,57 +308,87 @@ class BatchSampler:
 
 
 def save_dataset(path, ds: OpenSetDataset):
-    """Text header with the parameters, then little-endian double blocks."""
+    """Text header with the parameters, then little-endian double blocks.
+
+    The file is written with ``atomic_open``, so ``path`` never holds a
+    partial dataset.
+    """
     tags, flags = ds.unlabeled.eval_view()
-    blocks = [
-        ("labeled_x", ds.labeled_x),
-        ("labeled_y", ds.labeled_y.astype(np.float64)),
-        ("test_x", ds.test_x),
-        ("test_y", ds.test_y.astype(np.float64)),
-        ("unlabeled_x", ds.unlabeled.inputs),
-        ("unlabeled_tags", tags.astype(np.float64)),
-        ("unlabeled_ind", flags.astype(np.float64)),
-    ]
+    arrays = (ds.labeled_x, ds.labeled_y, ds.test_x, ds.test_y,
+              ds.unlabeled.inputs, tags, flags)
     lines = [DATASET_MAGIC]
     for field in dataclasses.fields(DatasetParams):
         lines.append(f"param {field.name} {getattr(ds.params, field.name)!r}")
-    for name, arr in blocks:
+    for name, arr in zip(DATASET_BLOCKS, arrays):
         arr2 = np.atleast_2d(arr)
         lines.append(f"block {name} {arr2.shape[0]} {arr2.shape[1]}")
     lines.append("data")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for _, arr in blocks:
+        for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _parse_param(kind, raw):
+    if kind == "str":
+        return raw.strip("'")
+    return float(raw) if kind == "float" else int(raw)
+
+
 def load_dataset(path) -> OpenSetDataset:
+    """Read a dataset file back, checking every byte of it.
+
+    Every ``DatasetParams`` field and every block must appear exactly
+    once, and the payload must hold exactly the bytes the blocks
+    declare. Anything else raises ``ValueError`` naming the path and the
+    param or block at fault.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    head, _, rest = blob.partition(b"data\n")
-    lines = head.decode("ascii").splitlines()
-    if not lines or lines[0] != DATASET_MAGIC:
+    head, sep, rest = blob.partition(b"data\n")
+    lines = head.decode("ascii", errors="replace").splitlines()
+    if not sep or not lines or lines[0] != DATASET_MAGIC:
         raise ValueError(f"load_dataset: bad header in {path}")
+    field_types = {f.name: f.type for f in dataclasses.fields(DatasetParams)}
     kwargs = {}
     blocks = {}
     offset = 0
-    field_types = {f.name: f.type for f in dataclasses.fields(DatasetParams)}
+    name = None
     for line in lines[1:]:
-        kind, name, *vals = line.split(maxsplit=2 if line.startswith("param") else 3)
-        if kind == "param":
-            raw = vals[0]
-            if field_types[name] == "str":
-                kwargs[name] = raw.strip("'")
-            elif field_types[name] == "float":
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = int(raw)
-        elif kind == "block":
-            rows, cols = int(vals[0]), int(vals[1])
-            count = rows * cols
-            arr = np.frombuffer(rest, dtype="<f8", count=count, offset=offset)
-            blocks[name] = arr.reshape(rows, cols).astype(np.float64)
-            offset += count * 8
+        kind, name, raw = (line.split(maxsplit=2) + ["", ""])[:3]
+        if kind not in ("param", "block"):
+            raise ValueError(f"load_dataset: {path}: unexpected header line {line!r}")
+        table, known = (kwargs, field_types) if kind == "param" else (blocks, DATASET_BLOCKS)
+        if name not in known:
+            raise ValueError(f"load_dataset: {path}: unknown {kind} {name!r}")
+        if name in table:
+            raise ValueError(f"load_dataset: {path}: {kind} {name!r} appears twice")
+        try:
+            if kind == "param":
+                kwargs[name] = _parse_param(field_types[name], raw)
+                continue
+            rows, cols = (int(v) for v in raw.split())
+            if rows < 0 or cols < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"load_dataset: {path}: bad value for {kind} {name!r}: "
+                             f"{raw!r}") from None
+        count = rows * cols
+        if offset + count * 8 > len(rest):
+            raise ValueError(
+                f"load_dataset: {path}: payload ends inside block {name!r} "
+                f"({max(len(rest) - offset, 0)} of {count * 8} bytes)")
+        arr = np.frombuffer(rest, dtype="<f8", count=count, offset=offset)
+        blocks[name] = arr.reshape(rows, cols).astype(np.float64)
+        offset += count * 8
+    for kind, table, known in (("param", kwargs, field_types),
+                               ("block", blocks, DATASET_BLOCKS)):
+        missing = [n for n in known if n not in table]
+        if missing:
+            raise ValueError(f"load_dataset: {path}: missing {kind} {missing[0]!r}")
+    if offset != len(rest):
+        raise ValueError(f"load_dataset: {path}: {len(rest) - offset} trailing bytes "
+                         f"after block {name!r}")
     params = DatasetParams(**kwargs)
     pool = UnlabeledPool(blocks["unlabeled_x"],
                          blocks["unlabeled_tags"].ravel().astype(np.int64),

@@ -15,8 +15,8 @@ import dataclasses
 
 import numpy as np
 
-from .autograd import (Tensor, backward, cross_entropy, kl_alignment, mse,
-                       mul, softmax, softmax_values, sqrt)
+from .autograd import (NumericError, Tensor, backward, cross_entropy,
+                       kl_alignment, mse, mul, softmax, softmax_values, sqrt)
 from .data import BatchSampler, one_hot
 from .optim import Sgd
 
@@ -48,6 +48,26 @@ class AccuracyFloorError(RuntimeError):
         super().__init__(
             f"teacher reached held-out accuracy {accuracy:.4f}, "
             f"below the configured floor {floor:.4f}")
+
+
+class DivergenceError(RuntimeError):
+    """Training reached a non-finite loss.
+
+    Names the mode ("pretrain" for stage 1), the seed, the epoch and the
+    step within it (both counted from 0), and the loss term where the
+    non-finite value showed.
+    """
+
+    def __init__(self, mode, seed, epoch, step, term, detail):
+        self.mode = mode
+        self.seed = seed
+        self.epoch = epoch
+        self.step = step
+        self.term = term
+        self.detail = detail
+        super().__init__(
+            f"{mode} seed {seed} diverged at epoch {epoch}, step {step}: "
+            f"{term} term: {detail}; a lower learning rate may help")
 
 
 @dataclasses.dataclass
@@ -126,7 +146,8 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     Trains with cross-entropy under the configured schedule, checks the
     held-out (test pool) accuracy against ``floor``, and returns the
     network frozen. Zero epochs returns the initialized network, frozen;
-    a missed floor raises ``AccuracyFloorError`` with the measured value.
+    a missed floor raises ``AccuracyFloorError`` with the measured value,
+    and non-finite logits raise ``DivergenceError`` naming ``seed``.
     """
     from .metrics import evaluate_accuracy
 
@@ -137,11 +158,14 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     for epoch in range(epochs):
         opt.lr = lr_at(optim_params.lr, optim_params.milestones,
                        optim_params.gamma, epoch)
-        for batch in sampler.epoch_batches(dataset.labeled_x, y,
-                                           np.zeros((0, dataset.params.input_dim)),
-                                           epoch):
+        batches = sampler.epoch_batches(dataset.labeled_x, y,
+                                        np.zeros((0, dataset.params.input_dim)), epoch)
+        for step, batch in enumerate(batches):
             _, logits = net.forward(batch.labeled_x, train=True)
-            loss = cross_entropy(softmax(logits), batch.labeled_y)
+            try:
+                loss = cross_entropy(softmax(logits), batch.labeled_y)
+            except NumericError as exc:
+                raise DivergenceError("pretrain", seed, epoch, step, "ce", exc) from exc
             backward(loss)
             opt.step()
     if epochs > 0:

@@ -22,7 +22,8 @@ import numpy as np
 from .baselines import train_with_mode
 from .config import format_config, load_config, override
 from .data import generate
-from .distill import pretrain_teacher
+from .distill import DivergenceError, pretrain_teacher
+from .fileio import atomic_open
 from .metrics import (fmt, summary_stats, write_metrics_csv, write_usage_csv,
                       write_usage_curve_csv)
 from .models import build_pair, load_checkpoint, save_checkpoint
@@ -53,8 +54,13 @@ def get_teacher(cfg, dataset, seed):
         teacher.set_frozen(True)
         return teacher
     stage1_seed = int(np.random.SeedSequence([int(seed), 0x7EAC]).generate_state(1)[0])
-    pretrain_teacher(dataset, teacher, cfg.optimizer, cfg.run.teacher_epochs,
-                     floor=cfg.run.teacher_floor, seed=stage1_seed)
+    try:
+        pretrain_teacher(dataset, teacher, cfg.optimizer, cfg.run.teacher_epochs,
+                         floor=cfg.run.teacher_floor, seed=stage1_seed)
+    except DivergenceError as exc:
+        # Name the trial seed the config gave, not the batch-order seed derived from it.
+        raise DivergenceError(exc.mode, seed, exc.epoch, exc.step, exc.term,
+                              exc.detail) from exc
     save_checkpoint(path, teacher.state_arrays())
     return teacher
 
@@ -86,7 +92,7 @@ def run(cfg):
     mean1, std1 = summary_stats([r["top1"] for r in per_seed])
     mean5, std5 = summary_stats([r["top5"] for r in per_seed])
     meank, stdk = summary_stats([r["mimicry_kl"] for r in per_seed])
-    with open(os.path.join(out, "summary.csv"), "w") as fh:
+    with atomic_open(os.path.join(out, "summary.csv"), "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for r in per_seed:
             fh.write(f"{mode}-seed{r['seed']},{mode},{r['seed']},"

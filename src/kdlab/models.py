@@ -8,11 +8,10 @@ the teacher's classifier can score adapted student features directly.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .autograd import Tensor, matmul, no_grad, sqrt
+from .autograd import Tensor, batch_norm, linear, matmul, no_grad
+from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = "kdlab-ckpt 1"
 
@@ -24,7 +23,10 @@ def _uniform_init(rng, fan_in, shape):
 
 
 class Affine:
-    """Dense layer y = x @ W + b with fan-in uniform initialization."""
+    """Dense layer y = x @ W + b with fan-in uniform initialization.
+
+    ``relu=True`` applies ReLU to the output inside the same graph node.
+    """
 
     def __init__(self, in_dim, out_dim, rng, trainable=True):
         self.weight = Tensor(_uniform_init(rng, in_dim, (in_dim, out_dim)),
@@ -32,8 +34,8 @@ class Affine:
         self.bias = Tensor(_uniform_init(rng, in_dim, (out_dim,)),
                            requires_grad=trainable)
 
-    def __call__(self, x):
-        return matmul(x, self.weight) + self.bias
+    def __call__(self, x, relu=False):
+        return linear(x, self.weight, self.bias, relu=relu)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -63,18 +65,14 @@ class BatchNorm:
 
     def __call__(self, x, train):
         if train:
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = (centered * centered).mean(axis=0)
+            out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps)
             self.running_mean = self.momentum * self.running_mean \
-                + (1.0 - self.momentum) * mu.values
+                + (1.0 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var \
-                + (1.0 - self.momentum) * var.values
-            scale = sqrt(var + self.eps)
-            normed = centered / scale
-        else:
-            centered = x - self.running_mean
-            normed = centered / np.sqrt(self.running_var + self.eps)
+                + (1.0 - self.momentum) * var
+            return out
+        centered = x - self.running_mean
+        normed = centered / np.sqrt(self.running_var + self.eps)
         return normed * self.gamma + self.beta
 
     def parameters(self):
@@ -103,7 +101,7 @@ class FeatureExtractor:
 
     def __call__(self, x, train=False):
         for layer in self.layers[:-1]:
-            x = layer(x).relu()
+            x = layer(x, relu=True)
         x = self.layers[-1](x)
         if self.norm is not None:
             x = self.norm(x, train)
@@ -279,8 +277,8 @@ def save_checkpoint(path, named_arrays):
     Header lines are the magic string, one ``name dim0 dim1 ...`` line per
     array in sorted-name order, and a lone ``data`` line; the payload is
     each array's bytes in header order. Round-trips bit-exactly. The file
-    is written next to ``path`` under a temporary name and moved into
-    place, so ``path`` never holds a partial checkpoint.
+    is written with ``atomic_open``, so ``path`` never holds a partial
+    checkpoint.
     """
     names = sorted(named_arrays)
     lines = [CHECKPOINT_MAGIC]
@@ -288,17 +286,10 @@ def save_checkpoint(path, named_arrays):
         arr = named_arrays[name]
         lines.append(" ".join([name, *[str(d) for d in arr.shape]]))
     lines.append("data")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
-            for name in names:
-                fh.write(np.ascontiguousarray(named_arrays[name], dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        for name in names:
+            fh.write(np.ascontiguousarray(named_arrays[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):

@@ -8,9 +8,10 @@ central differences of the builder re-evaluated on perturbed copies.
 
 import numpy as np
 
-from kdlab.autograd import (Tensor, backward, cross_entropy, div, kl_alignment,
-                            matmul, mse, mul, neg, relu, sigmoid, slice_rows,
-                            softmax, log, sqrt, sub, tensor_mean, tensor_sum)
+from kdlab.autograd import (Tensor, backward, batch_norm, cross_entropy, div,
+                            kl_alignment, linear, matmul, mse, mul, neg, relu,
+                            sigmoid, slice_rows, softmax, log, sqrt, sub,
+                            tensor_mean, tensor_sum)
 
 EPS = 1e-6
 
@@ -75,6 +76,23 @@ def op_instance(name, rng):
         wk = rng.standard_normal((n, k))
         return (lambda a, b: tensor_sum(mul(matmul(a, b), Tensor(wk)))), \
             [rng.standard_normal((n, m)), rng.standard_normal((m, k))]
+    if name in ("linear", "linear_relu"):
+        wk = rng.standard_normal((n, k))
+        fire = name == "linear_relu"
+        while True:
+            x, wl, b = (rng.standard_normal((n, m)), rng.standard_normal((m, k)),
+                        rng.standard_normal(k))
+            # Pre-activations clear of the ReLU kink along the whole probe.
+            if not fire or np.min(np.abs(x @ wl + b)) > 0.05:
+                break
+        return (lambda a, c, d: tensor_sum(mul(linear(a, c, d, relu=fire), Tensor(wk)))), \
+            [x, wl, b]
+    if name == "batch_norm":
+        rows = int(n) + 2
+        ww = rng.standard_normal((rows, m))
+        return (lambda a, g, c: _mix(batch_norm(a, g, c, 1e-5)[0], ww)), \
+            [rng.standard_normal((rows, m)), rng.uniform(0.5, 2.0, m),
+             rng.standard_normal(m)]
     if name == "relu":
         x = _away_from(rng.standard_normal((n, m)), 0.1)
         return (lambda a: _mix(relu(a), w)), [x]
@@ -123,9 +141,10 @@ def op_instance(name, rng):
     raise ValueError(f"op_instance: unknown op {name!r}")
 
 
-CHECKED_OPS = ("add", "sub", "mul", "div", "neg", "matmul", "relu", "sigmoid",
-               "log", "sqrt", "softmax", "sum", "mean", "slice_rows",
-               "cross_entropy", "kl_alignment", "mse")
+CHECKED_OPS = ("add", "sub", "mul", "div", "neg", "matmul", "linear",
+               "linear_relu", "batch_norm", "relu", "sigmoid", "log", "sqrt",
+               "softmax", "sum", "mean", "slice_rows", "cross_entropy",
+               "kl_alignment", "mse")
 
 
 def sweep_ops(seed, instances_per_op):

@@ -12,7 +12,7 @@ from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
                              teacher_outputs, train_with_mode)
 from kdlab.config import override, parse_config
 from kdlab.data import BatchSampler, augment, generate, one_hot, select_unlabeled
-from kdlab.distill import pretrain_teacher
+from kdlab.distill import DivergenceError, pretrain_teacher
 from kdlab.metrics import roc_auc
 from kdlab.models import Network, build_pair, make_network
 from kdlab.optim import Sgd
@@ -446,3 +446,42 @@ def test_engine_rejects_bad_inputs():
     fresh, _, _ = build_pair(cfg, 0)
     with pytest.raises(ValueError):
         train_with_mode(ds, fresh, cfg, 0)
+
+
+# divergence
+# ----------
+
+def _diverge(cfg, ds, teacher):
+    with pytest.raises(DivergenceError) as info:
+        train_with_mode(ds, teacher, cfg, 0)
+    return info.value
+
+
+def test_a_huge_learning_rate_raises_a_divergence_error():
+    cfg, ds, teacher = _setup(mode="srd")
+    cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, lr=1e6))
+    with np.errstate(all="ignore"):
+        err = _diverge(cfg, ds, teacher)
+    assert (err.mode, err.seed) == ("srd", 0)
+    assert f"srd seed 0 diverged at epoch {err.epoch}, step {err.step}: " \
+        f"{err.term} term" in str(err)
+
+
+def test_a_nonfinite_loss_term_is_named(monkeypatch):
+    cfg, ds, teacher = _setup(mode="srd")
+    real = baselines.srd_loss
+    monkeypatch.setattr(baselines, "srd_loss",
+                        lambda variant, z_t, z_hat: real(variant, z_t, z_hat) * np.inf)
+    err = _diverge(cfg, ds, teacher)
+    assert (err.epoch, err.step, err.term) == (0, 0, "srd")
+    assert "srd inf" in str(err)
+
+
+def test_nonfinite_logits_name_the_term_whose_forward_met_them(monkeypatch):
+    cfg, ds, teacher = _setup(mode="kd")
+    real = baselines.kd_loss
+    monkeypatch.setattr(baselines, "kd_loss",
+                        lambda z_t, z_s, t: real(z_t, z_s * np.nan, t))
+    err = _diverge(cfg, ds, teacher)
+    assert (err.mode, err.epoch, err.step, err.term) == ("kd", 0, 0, "kd")
+    assert "non-finite" in str(err)

@@ -288,6 +288,76 @@ def test_dataset_loader_rejects_foreign_header(tmp_path):
         load_dataset(str(path))
 
 
+def _saved(tmp_path):
+    path = tmp_path / "ds.bin"
+    save_dataset(str(path), generate(SMALL))
+    return path
+
+
+def _edit_header(path, old, new):
+    head, sep, payload = path.read_bytes().partition(b"data\n")
+    assert old.encode() in head
+    path.write_bytes(head.replace(old.encode(), new.encode()) + sep + payload)
+
+
+def test_dataset_loader_rejects_trailing_bytes(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError,
+                       match=r"ds\.bin.*8 trailing bytes after block 'unlabeled_ind'"):
+        load_dataset(str(path))
+
+
+def test_dataset_loader_rejects_a_short_payload(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError,
+                       match=r"ds\.bin.*payload ends inside block 'unlabeled_ind'"):
+        load_dataset(str(path))
+
+
+def test_dataset_loader_rejects_an_unknown_param(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, "param seed ", "param sead ")
+    with pytest.raises(ValueError, match=r"ds\.bin.*unknown param 'sead'"):
+        load_dataset(str(path))
+
+
+def test_dataset_loader_rejects_a_missing_param(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, f"param noise {SMALL.noise!r}\n", "")
+    with pytest.raises(ValueError, match=r"ds\.bin.*missing param 'noise'"):
+        load_dataset(str(path))
+
+
+def test_dataset_loader_rejects_bad_values_and_repeats(tmp_path):
+    path = _saved(tmp_path)
+    _edit_header(path, f"param seed {SMALL.seed!r}", "param seed x")
+    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'seed'"):
+        load_dataset(str(path))
+    path = _saved(tmp_path)
+    _edit_header(path, "block test_x", "block labeled_x")
+    with pytest.raises(ValueError, match=r"ds\.bin.*block 'labeled_x' appears twice"):
+        load_dataset(str(path))
+
+
+def test_dataset_write_that_fails_midway_leaves_no_file(tmp_path):
+    ds = generate(SMALL)
+    path = tmp_path / "ds.bin"
+    # The header and the first blocks are written before the test pool fails.
+    broken = dataclasses.replace(
+        ds, test_x=np.full(ds.test_x.shape, "not a number", dtype=object))
+    with pytest.raises(ValueError):
+        save_dataset(str(path), broken)
+    assert list(tmp_path.iterdir()) == []
+    save_dataset(str(path), ds)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_dataset(str(path), broken)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_export_csv_row_counts_and_precision(tmp_path):
     ds = generate(SMALL)
     export_csv(ds, str(tmp_path))

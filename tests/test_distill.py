@@ -11,7 +11,7 @@ from kdlab.autograd import (Tensor, backward, cross_entropy, matmul, no_grad,
 from kdlab.baselines import MODES, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
-from kdlab.distill import (AccuracyFloorError, SrdConfig, feature_reg, lr_at,
+from kdlab.distill import (AccuracyFloorError, DivergenceError, SrdConfig, feature_reg, lr_at,
                            pretrain_teacher, srd_loss)
 from kdlab.models import Classifier, build_pair
 from kdlab.optim import Sgd
@@ -253,6 +253,17 @@ def test_pretrain_raises_on_a_missed_floor():
                          floor=0.999, seed=0)
     assert info.value.floor == 0.999
     assert 0.0 <= info.value.accuracy < 0.999
+
+
+def test_pretrain_raises_a_divergence_error_on_nonfinite_logits():
+    ds = generate(TINY_CFG.dataset)
+    teacher, _, _ = build_pair(TINY_CFG, 0)
+    teacher.classifier.weight.values[0, 0] = np.nan
+    with pytest.raises(DivergenceError) as info:
+        pretrain_teacher(ds, teacher, TINY_CFG.optimizer, epochs=2, seed=7)
+    err = info.value
+    assert (err.mode, err.seed, err.epoch, err.step, err.term) == ("pretrain", 7, 0, 0, "ce")
+    assert "pretrain seed 7 diverged at epoch 0, step 0: ce term" in str(err)
 
 
 def test_pretrain_zero_epochs_returns_the_frozen_init():

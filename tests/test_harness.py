@@ -1,5 +1,6 @@
 """Orchestration: caching, run artifacts, comparison, sweeps, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import kdlab
+from kdlab import harness
 from kdlab.config import override, parse_config
 from kdlab.data import generate
+from kdlab.distill import DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
                            teacher_cache_key, write_compare_csv)
@@ -147,6 +150,24 @@ def test_identical_runs_are_byte_identical(tmp_path):
         assert a == b, name
 
 
+def test_summary_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_fmt(value):
+        # The header and the first seed's row are written before it fails.
+        calls.append(value)
+        if len(calls) > 3:
+            raise OSError("disk full")
+        return f"{value:.6g}"
+
+    monkeypatch.setattr(harness, "fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        run(_cfg(tmp_path))
+    names = os.listdir(tmp_path / "out")
+    assert "metrics_seed1.csv" in names
+    assert not [n for n in names if n.startswith("summary")]
+
+
 def test_stage_two_replays_against_a_warm_cache(tmp_path):
     """Deleting run output and rerunning reuses teachers bit for bit."""
     cfg = _cfg(tmp_path)
@@ -252,6 +273,24 @@ def test_cli_reports_a_missed_floor_with_code_3(tmp_path):
                            "--out", str(tmp_path / "run")], cwd=tmp_path)
     assert code == 3, err
     assert "floor" in err.lower()
+
+
+def test_cli_reports_divergence_with_code_4(tmp_path):
+    cfg_path = tmp_path / "diverge.cfg"
+    cfg_path.write_text(TINY.replace("lr = 0.05", "lr = 1e6"))
+    code, out, err = _cli(["distill", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "run")], cwd=tmp_path)
+    assert code == 4, err
+    assert "srd seed 0 diverged at epoch" in err
+
+
+def test_stage_one_divergence_names_the_trial_seed(tmp_path):
+    cfg = _cfg(tmp_path)
+    cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, lr=1e15))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        get_teacher(cfg, generate(cfg.dataset), 1)
+    assert (info.value.mode, info.value.seed, info.value.term) == ("pretrain", 1, "ce")
+    assert str(info.value).startswith("pretrain seed 1 diverged at epoch ")
 
 
 def test_cli_generate_data_writes_the_dataset(tmp_path):

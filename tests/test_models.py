@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from kdlab.autograd import Tensor, backward, tensor_sum
+from kdlab.autograd import (LAST_BACKWARD_STATS, ShapeError, Tensor, backward,
+                            batch_norm, cross_entropy, linear, matmul, mul,
+                            slice_rows, softmax, sqrt, tensor_sum)
+from kdlab.baselines import stage2_loss, teacher_outputs
 from kdlab.config import ArchParams, parse_config
+from kdlab.data import one_hot
+from kdlab.distill import MODES, feature_reg, srd_loss
 from kdlab.models import (Adaptor, Affine, BatchNorm, CHECKPOINT_MAGIC,
                           Classifier, FeatureExtractor, Network, build_pair,
                           load_checkpoint, make_network, parameter_count,
@@ -274,3 +279,173 @@ def test_adaptor_output_lives_in_nonnegative_range():
     plain = Adaptor(4, 16, np.random.default_rng(23), normalize=False)
     assert len(plain.parameters()) == 2
     assert len(adaptor.parameters()) == 4
+
+
+# fused layer ops against the composed graph
+# ------------------------------------------
+#
+# ``linear`` and ``batch_norm`` must reproduce, bit for bit, the graph of
+# elementary ops the layers were built from before they were fused.
+
+def _composed_affine(layer, x, relu=False):
+    out = matmul(x, layer.weight) + layer.bias
+    return out.relu() if relu else out
+
+
+def _composed_batchnorm(bn, x):
+    mu = x.mean(axis=0)
+    centered = x - mu
+    var = (centered * centered).mean(axis=0)
+    bn.running_mean = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu.values
+    bn.running_var = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var.values
+    normed = centered / sqrt(var + bn.eps)
+    return normed * bn.gamma + bn.beta
+
+
+def _composed_extractor(ext, x):
+    for layer in ext.layers[:-1]:
+        x = _composed_affine(layer, x, relu=True)
+    x = _composed_affine(ext.layers[-1], x)
+    if ext.norm is not None:
+        x = _composed_batchnorm(ext.norm, x)
+    return x.relu()
+
+
+def _composed_adaptor(adaptor, x):
+    return _composed_batchnorm(adaptor.norm, _composed_affine(adaptor.affine, x)).relu()
+
+
+def _preset_pair(seed=0):
+    # The package defaults are the standard preset.
+    return parse_config(""), build_pair(parse_config(""), seed)
+
+
+def _assert_same_state(a, b):
+    """Same parameters, running statistics and parameter gradients."""
+    for part_a, part_b in ((a.extractor, b.extractor), (a.classifier, b.classifier)) \
+            if isinstance(a, Network) else ((a, b),):
+        state_a, state_b = part_a.state_arrays("m"), part_b.state_arrays("m")
+        assert state_a.keys() == state_b.keys()
+        for name in state_a:
+            assert np.array_equal(state_a[name], state_b[name]), name
+    for p, q in zip(a.parameters(), b.parameters()):
+        assert np.array_equal(p.grad, q.grad)
+
+
+def test_fused_teacher_step_matches_composed_graph():
+    """Preset teacher (32 -> 256 -> 256 -> 64 + BN(64)) at a 32-row batch."""
+    cfg, (fused, _, _) = _preset_pair()
+    _, (composed, _, _) = _preset_pair()
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((32, cfg.dataset.input_dim))
+    y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
+
+    feats, logits = fused.forward(x, train=True)
+    backward(cross_entropy(softmax(logits), y))
+    ref_feats = _composed_extractor(composed.extractor, Tensor(x))
+    ref_logits = composed.classifier(ref_feats)
+    backward(cross_entropy(softmax(ref_logits), y))
+
+    assert np.array_equal(feats.values, ref_feats.values)
+    assert np.array_equal(logits.values, ref_logits.values)
+    _assert_same_state(fused, composed)
+
+
+def test_fused_student_and_adaptor_step_matches_composed_graph():
+    """Preset student and adaptor at a 96-row batch under the srd objective."""
+    cfg, (teacher, fused, fused_ad) = _preset_pair()
+    _, (_, composed, composed_ad) = _preset_pair()
+    teacher.set_frozen(True)
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((96, cfg.dataset.input_dim))
+    y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
+    feats_t, z_t = teacher_outputs(teacher, x)
+
+    total, _ = stage2_loss(MODES["srd"], (teacher, fused, fused_ad), cfg, x, y,
+                           (feats_t, z_t))
+    backward(total)
+
+    feats_s = _composed_extractor(composed.extractor, Tensor(x))
+    logits_s = composed.classifier(feats_s)
+    ce = cross_entropy(softmax(slice_rows(logits_s, 0, 32)), y)
+    x_a = _composed_adaptor(composed_ad, feats_s)
+    srd = srd_loss(cfg.srd.variant, Tensor(z_t), teacher.classifier(x_a))
+    reg = feature_reg(feats_t, x_a)
+    ref_total = ce + cfg.srd.alpha * srd + cfg.srd.beta * reg
+    backward(ref_total)
+
+    assert total.item() == ref_total.item()
+    _assert_same_state(fused, composed)
+    _assert_same_state(fused_ad, composed_ad)
+
+
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_fused_ops_match_composed_ops_on_leaf_inputs(x_grad):
+    """Direct calls, with an input that does and one that does not need grad."""
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((96, 16))
+    gamma = rng.uniform(0.5, 2.0, 64)
+    weights = rng.standard_normal((96, 64))
+    runs = []
+    for fused in (True, False):
+        tx = Tensor(x.copy(), requires_grad=x_grad)
+        layer, bn = Affine(16, 64, np.random.default_rng(5)), BatchNorm(64)
+        bn.gamma.values[...] = gamma
+        if fused:
+            out = bn(layer(tx, relu=True), train=True)
+        else:
+            out = _composed_batchnorm(bn, _composed_affine(layer, tx, relu=True))
+        backward(tensor_sum(mul(out, Tensor(weights))))
+        runs.append((out.values, tx.grad, layer, bn))
+    (out, gx, layer, bn), (ref_out, ref_gx, ref_layer, ref_bn) = runs
+    assert np.array_equal(out, ref_out)
+    if x_grad:
+        assert np.array_equal(gx, ref_gx)
+    else:
+        assert gx is None and ref_gx is None
+    _assert_same_state(layer, ref_layer)
+    _assert_same_state(bn, ref_bn)
+
+
+def test_fused_ops_record_one_node_each():
+    rng = np.random.default_rng(53)
+    x = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    h = linear(x, w, b, relu=True)
+    out, mean, var = batch_norm(h, Tensor(np.ones(3), requires_grad=True),
+                                Tensor(np.zeros(3), requires_grad=True), 1e-5)
+    assert h.node.op == "linear" and out.node.op == "batch_norm"
+    assert mean.shape == var.shape == (3,)
+    backward(tensor_sum(out))
+    assert LAST_BACKWARD_STATS["nodes"] == 3
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 3))), w, b)
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones(4)), w, b)
+    with pytest.raises(ShapeError):
+        linear(x, w, Tensor(np.ones(2)))
+
+
+# Graph nodes per backward at the preset shapes (28 and 59 when the layers
+# were composed from elementary ops). A layer that is built from
+# elementary ops again instead of its fused node changes these.
+TEACHER_STEP_NODES = 13
+SRD_STEP_NODES = 33
+
+
+def test_preset_steps_build_the_pinned_number_of_graph_nodes():
+    cfg, (teacher, student, adaptor) = _preset_pair()
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal((96, cfg.dataset.input_dim))
+    y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
+
+    _, logits = teacher.forward(x[:32], train=True)
+    backward(cross_entropy(softmax(logits), y))
+    assert LAST_BACKWARD_STATS["nodes"] == TEACHER_STEP_NODES
+
+    teacher.set_frozen(True)
+    total, _ = stage2_loss(MODES["srd"], (teacher, student, adaptor), cfg, x, y,
+                           teacher_outputs(teacher, x))
+    backward(total)
+    assert LAST_BACKWARD_STATS["nodes"] == SRD_STEP_NODES
