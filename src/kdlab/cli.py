@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, format_config, override, parse_config
 from .data import export_csv, generate, save_dataset
 from .distill import AccuracyFloorError, DivergenceError
@@ -197,7 +199,10 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a diverging run reports itself through DivergenceError; numpy's
+        # overflow warnings on the way there would only bury that line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from helpers import CHECKED_OPS, sweep_ops
 from kdlab.autograd import Tensor, backward, matmul, no_grad
@@ -25,6 +26,8 @@ from kdlab.harness import get_teacher, run, sweep
 from kdlab.metrics import roc_auc, usage_curve, write_usage_curve_csv
 from kdlab.models import Classifier
 from kdlab.optim import Sgd
+
+pytestmark = pytest.mark.acceptance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = tempfile.mkdtemp(prefix="kdlab-acceptance-")

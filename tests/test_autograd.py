@@ -231,7 +231,8 @@ def test_sgd_matches_replayed_recurrence():
         for g in grads:
             v = mu * v + (g + wd * ref)
             ref = ref - lr * v
-        assert np.max(np.abs(p.values - ref)) < 1e-12
+        # the in-place step runs the same IEEE operations in the same order
+        assert np.array_equal(p.values, ref)
         # grads cleared by the step, ready for the next backward
         assert np.max(np.abs(p.grad)) == 0.0
 
@@ -240,6 +241,64 @@ def test_sgd_rejects_frozen_parameters():
     p = Tensor(np.ones(2), requires_grad=False)
     with pytest.raises(ValueError):
         Sgd([p], 0.1)
+
+
+@pytest.mark.parametrize("mu, wd", [(0.9, 0.01), (0.0, 0.01), (0.9, 0.0)])
+def test_sgd_mixed_shapes_match_the_replayed_recurrence(mu, wd):
+    """A (1,) bias, a 2-D weight and a 1-D gamma under a changing lr."""
+    rng = np.random.default_rng(43)
+    shapes = [(1,), (3, 5), (7,)]
+    w0 = [rng.standard_normal(s) for s in shapes]
+    params = [Tensor(w.copy(), requires_grad=True) for w in w0]
+    opt = Sgd(params, 0.1, momentum=mu, weight_decay=wd)
+    lrs = [0.1, 0.1, 0.01, 0.05, 0.001]
+    grads = [[rng.standard_normal(s) for s in shapes] for _ in lrs]
+    for lr, gs in zip(lrs, grads):
+        opt.lr = lr
+        for p, g in zip(params, gs):
+            p.grad[...] = g
+        opt.step()
+    for k, w in enumerate(w0):
+        ref, v = w.copy(), np.zeros_like(w)
+        for lr, gs in zip(lrs, grads):
+            v = mu * v + (gs[k] + wd * ref)
+            ref = ref - lr * v
+        assert np.array_equal(params[k].values, ref), shapes[k]
+        assert not params[k].grad.any()
+
+
+def test_sgd_parameters_become_views_of_its_buffers():
+    rng = np.random.default_rng(47)
+    w0 = [rng.standard_normal(s) for s in [(1,), (4, 3), (9,), (2, 2)]]
+    params = [Tensor(w.copy(), requires_grad=True) for w in w0]
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.shape)
+    grads = [p.grad.copy() for p in params]
+    opt = Sgd(params, 0.1, momentum=0.9)
+    for p, w, g in zip(params, w0, grads):
+        # contents carried over, storage now the optimizer's
+        assert np.array_equal(p.values, w) and np.array_equal(p.grad, g)
+        assert np.shares_memory(p.values, opt._w)
+        assert np.shares_memory(p.grad, opt._g)
+        assert p.values.ctypes.data % 64 == 0 and p.grad.ctypes.data % 64 == 0
+    for a, b in zip(params, params[1:]):
+        assert not np.shares_memory(a.values, b.values)
+
+
+def test_sgd_rejects_a_parameter_listed_twice():
+    p, q = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match="registered twice"):
+        Sgd([p, q, p], 0.1)
+
+
+@pytest.mark.parametrize("regrad", [lambda p: None, lambda p: np.zeros_like(p.values)],
+                         ids=["unset", "rebound"])
+def test_sgd_step_rejects_a_grad_changed_after_construction(regrad):
+    p, q = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    opt = Sgd([p, q], 0.1)
+    q.grad = regrad(q)
+    with pytest.raises(ValueError, match="no gradient buffer"):
+        opt.step()
 
 
 def test_op_instance_covers_registry():

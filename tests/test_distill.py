@@ -289,6 +289,38 @@ def test_pretrain_replays_bit_for_bit():
         assert np.array_equal(states[0][name], states[1][name]), name
 
 
+class _PerParameterSgd:
+    """Momentum SGD stepped one parameter at a time, with fresh
+    temporaries: the reference the flat-buffer ``Sgd`` must match."""
+
+    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
+        self.params = list(params)
+        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
+        self.velocity = [np.zeros_like(p.values) for p in self.params]
+
+    def step(self):
+        for p, v in zip(self.params, self.velocity):
+            g = p.grad + self.weight_decay * p.values
+            v *= self.momentum
+            v += g
+            p.values -= self.lr * v
+            p.grad[...] = 0.0
+
+
+def test_pretrain_matches_the_per_parameter_optimizer_bit_for_bit(monkeypatch):
+    ds = generate(TINY_CFG.dataset)
+    optim_params = dataclasses.replace(TINY_CFG.optimizer, milestones=(2,),
+                                       weight_decay=5e-3)
+    states = []
+    for sgd in (Sgd, _PerParameterSgd):
+        monkeypatch.setattr("kdlab.distill.Sgd", sgd)
+        teacher, _, _ = build_pair(TINY_CFG, 2)
+        net = pretrain_teacher(ds, teacher, optim_params, epochs=4, seed=5)
+        states.append(net.state_arrays())
+    for name in states[0]:
+        assert np.array_equal(states[0][name], states[1][name]), name
+
+
 def test_srd_config_validation():
     with pytest.raises(ValueError):
         SrdConfig(variant="other")

@@ -282,6 +282,9 @@ def test_cli_reports_divergence_with_code_4(tmp_path):
                            "--out", str(tmp_path / "run")], cwd=tmp_path)
     assert code == 4, err
     assert "srd seed 0 diverged at epoch" in err
+    # the one report line, not numpy's overflow warnings on the way there
+    assert "RuntimeWarning" not in err
+    assert err.strip().splitlines() == [err.strip()]
 
 
 def test_stage_one_divergence_names_the_trial_seed(tmp_path):

@@ -14,6 +14,7 @@ from kdlab.models import (Adaptor, Affine, BatchNorm, CHECKPOINT_MAGIC,
                           Classifier, FeatureExtractor, Network, build_pair,
                           load_checkpoint, make_network, parameter_count,
                           save_checkpoint)
+from kdlab.optim import Sgd
 
 
 def _manual_forward(net, x):
@@ -166,6 +167,21 @@ def test_load_state_restores_forward_exactly(tmp_path):
     assert np.array_equal(za.values, zb.values)
 
 
+def test_load_state_after_sgd_construction_reaches_the_next_step():
+    arch = ArchParams(hidden=(6,), feature_dim=4, feature_norm=True)
+    net = make_network(5, arch, classes=3, seed=1)
+    opt = Sgd(net.parameters(), lr=0.5)
+    loaded = make_network(5, arch, classes=3, seed=7)
+    net.load_state(loaded.state_arrays())
+    rng = np.random.default_rng(3)
+    grads = [rng.standard_normal(p.shape) for p in net.parameters()]
+    for p, g in zip(net.parameters(), grads):
+        p.grad[...] = g
+    opt.step()
+    for p, q, g in zip(net.parameters(), loaded.parameters(), grads):
+        assert np.array_equal(p.values, q.values - 0.5 * g)
+
+
 # freezing
 # --------
 
@@ -188,6 +204,16 @@ def test_frozen_network_is_constant_and_gradient_free():
     assert not logits.requires_grad
     _, again = net.forward(x, train=True)
     assert np.array_equal(logits.values, again.values)
+
+
+def test_sgd_refuses_a_network_refrozen_after_construction():
+    arch = ArchParams(hidden=(8,), feature_dim=4, feature_norm=False)
+    net = make_network(6, arch, classes=3, seed=17)
+    opt = Sgd(net.parameters(), lr=0.1)
+    net.set_frozen(True)
+    net.set_frozen(False)
+    with pytest.raises(ValueError, match="no gradient buffer"):
+        opt.step()
 
 
 def test_unfrozen_network_backpropagates():
