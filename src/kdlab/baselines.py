@@ -10,16 +10,16 @@ and hard pseudo-labeling of the unlabeled pool.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .autograd import (NumericError, Tensor, backward, cross_entropy,
                        kl_alignment, log, mul, no_grad, sigmoid, slice_rows,
                        softmax, softmax_values, sqrt)
-from .data import BatchSampler, augment, one_hot, select_unlabeled
-from .distill import MODES, DivergenceError, feature_reg, lr_at, srd_loss
-from .metrics import MetricsRecord, evaluate_accuracy, mimicry_kl, top_k_accuracy
+from .data import augment, one_hot, select_unlabeled
+from .distill import MODES, feature_reg, srd_loss, train_epochs
+from .metrics import (USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, mimicry_kl,
+                      top_k_accuracy)
 from .models import build_pair
 from .optim import Sgd
 
@@ -50,11 +50,9 @@ def kd_loss(z_t, z_s, temperature):
     return float(temperature) ** 2 * soft
 
 
-def pseudo_label(teacher, x):
-    """Teacher argmax labels; equal logits resolve to the lowest class."""
-    with no_grad():
-        _, logits = teacher.forward(x)
-    return np.argmax(logits.values, axis=1)
+def pseudo_label(logits):
+    """Hard labels from the teacher's logits; equal logits resolve to the lowest class."""
+    return np.argmax(logits, axis=1)
 
 
 def teacher_outputs(teacher, x):
@@ -219,6 +217,60 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     return total, (ce.item(), srd_term, reg_term)
 
 
+def _trial_setup(dataset, teacher, cfg, terms, select_seed):
+    """The selected pool (None if no step draws unlabeled rows), the frozen
+    teacher's outputs on the labeled rows and on the pool, and pseudo labels.
+
+    A frozen teacher's outputs on a row never change, so the labeled rows
+    and the pool are forwarded once, and only when a term, the selection
+    policy or pseudo labels read them. +dac draws a fresh view of its
+    unlabeled rows every step: those are the only rows forwarded per step.
+    """
+    reads_teacher = any(term in terms for term in TEACHER_TERMS)
+    labeled_out = teacher_outputs(teacher, dataset.labeled_x) if reads_teacher else None
+    run = cfg.run
+    if not (run.use_unlabeled and run.mode != "supervised" and len(dataset.unlabeled) > 0
+            and cfg.optimizer.unlabeled_batch_size > 0):
+        return None, labeled_out, None, None, None
+    full = dataset.unlabeled
+    reads_pool = (run.selection_policy == "teacher_score" or "pseudo" in terms
+                  or (reads_teacher and "dac" not in terms))
+    full_out = teacher_outputs(teacher, full.inputs) if reads_pool else None
+    chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
+                              None if full_out is None else full_out[1], seed=select_seed)
+    pool = full.subset(chosen)
+    pool_out = None if full_out is None else [out[chosen] for out in full_out]
+    pseudo_y = pseudo_weight = None
+    if "pseudo" in terms:
+        pseudo_y = pseudo_label(pool_out[1])
+        pseudo_weight = cfg.baselines.pseudo_weight * len(pool) / len(dataset.labeled_x)
+    return pool, labeled_out, pool_out, pseudo_y, pseudo_weight
+
+
+def _ood_step(detector, det_opt, det_rng, feats_t, n_l, ind_flags, usage):
+    """Filter one step's unlabeled rows; returns the indices of those kept.
+
+    Then updates the detector: labeled rows are the positives, a uniform
+    subset of the incoming unlabeled rows the negatives. ``usage`` adds up
+    the kept/dropped counts against the hidden in-distribution flags.
+    """
+    kept, stats = ood_filter(detector, feats_t[n_l:], ind_flags)
+    for key in usage:
+        usage[key] += stats[key]
+    n_u = len(feats_t) - n_l
+    neg_rows = det_rng.choice(n_u, size=min(n_l, n_u), replace=False)
+    backward(detector.loss(feats_t[:n_l], feats_t[n_l:][neg_rows]))
+    det_opt.step()
+    return np.flatnonzero(kept)
+
+
+def _epoch_record(run_id, mode, seed, epoch, means, student, dataset):
+    return MetricsRecord(
+        run=run_id, mode=mode, seed=seed, epoch=epoch, **means,
+        train_acc=evaluate_accuracy(student, dataset.labeled_x, dataset.labeled_y),
+        test_acc=evaluate_accuracy(student, dataset.test_x, dataset.test_y))
+
+
 def train_with_mode(dataset, teacher, cfg, seed):
     """Stage 2: train one student under the configured mode.
 
@@ -234,10 +286,9 @@ def train_with_mode(dataset, teacher, cfg, seed):
         raise ValueError(f"train_with_mode: unknown mode {mode!r}")
     terms = MODES[mode]
     use_ood, use_dac = "ood" in terms, "dac" in terms
-    p = dataset.params
-    opt_cfg = cfg.optimizer
 
     _, student, adaptor = build_pair(cfg, seed)
+    nets = (teacher, student, adaptor)
     streams = np.random.SeedSequence([seed, 0xD15]).spawn(4)
     select_seed = int(streams[0].generate_state(1)[0])
     det_rng = np.random.default_rng(streams[1])
@@ -245,124 +296,56 @@ def train_with_mode(dataset, teacher, cfg, seed):
     detector = OodDetector(cfg.teacher.feature_dim,
                            np.random.default_rng(streams[3]),
                            threshold=cfg.baselines.ood_threshold)
+    det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
+    pool, labeled_out, pool_out, pseudo_y, pseudo_weight = _trial_setup(
+        dataset, teacher, cfg, terms, select_seed)
+    pool_ind = pool.eval_view()[1] if pool is not None else None
+    counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
 
-    wants_unlabeled = (cfg.run.use_unlabeled and mode != "supervised"
-                       and len(dataset.unlabeled) > 0)
-    if wants_unlabeled:
-        pool = select_unlabeled(dataset.unlabeled, cfg.run.unlabeled_fraction,
-                                cfg.run.selection_policy, teacher, seed=select_seed)
-        _, pool_ind = pool.eval_view()
-    else:
-        pool = None
-    u_batch = opt_cfg.unlabeled_batch_size if pool is not None else 0
-
-    pseudo_y = pseudo_weight = None
-    if "pseudo" in terms and pool is not None:
-        pseudo_y = pseudo_label(teacher, pool.inputs)
-        pseudo_weight = (cfg.baselines.pseudo_weight * len(pool)
-                         / len(dataset.labeled_x))
-
-    # The teacher is frozen, so its outputs on a row never change: forward
-    # the labeled rows and the pool once and gather them per step. +dac
-    # draws a fresh view of its unlabeled rows every step, so those are
-    # the only rows still forwarded per step.
-    labeled_out = pool_out = None
-    if any(term in terms for term in TEACHER_TERMS):
-        labeled_out = teacher_outputs(teacher, dataset.labeled_x)
-        if u_batch and not use_dac:
-            pool_out = teacher_outputs(teacher, pool.inputs)
+    def step(batch):
+        n_l = len(batch.labeled_x)
+        x_u, u_idx = batch.unlabeled_x, batch.unlabeled_idx
+        view2 = None
+        if use_dac and len(x_u):
+            view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
+            view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
+            x_u = view1
+        teacher_out = None
+        if labeled_out is not None:
+            parts = [[out[batch.labeled_idx] for out in labeled_out]]
+            if view2 is not None:
+                parts.append(teacher_outputs(teacher, x_u))
+            elif len(x_u):
+                parts.append([out[u_idx] for out in pool_out])
+            teacher_out = [np.concatenate(group) for group in zip(*parts)]
+        if use_ood and len(x_u):
+            keep = _ood_step(detector, det_opt, det_rng, teacher_out[0], n_l,
+                             pool_ind[u_idx], counts)
+            x_u, u_idx = x_u[keep], u_idx[keep]
+            teacher_out = [np.concatenate([out[:n_l], out[n_l:][keep]])
+                           for out in teacher_out]
+        x_all = np.concatenate([batch.labeled_x, x_u]) if len(x_u) else batch.labeled_x
+        return stage2_loss(terms, nets, cfg, x_all, batch.labeled_y, teacher_out,
+                           pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
+                           pseudo_weight=pseudo_weight, view2=view2)
 
     params = list(student.parameters())
     if "srd" in terms:
         params += adaptor.parameters()
-    opt = Sgd(params, opt_cfg.lr, opt_cfg.momentum, opt_cfg.weight_decay)
-    det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
-
-    y_all = one_hot(dataset.labeled_y, p.classes)
-    sampler = BatchSampler(opt_cfg.batch_size, u_batch, seed)
     records, usage = [], []
     run_id = f"{mode}-seed{seed}"
-
-    for epoch in range(cfg.run.epochs):
-        opt.lr = lr_at(opt_cfg.lr, opt_cfg.milestones, opt_cfg.gamma, epoch)
-        sums = {"ce": 0.0, "srd": 0.0, "reg": 0.0, "total": 0.0}
-        steps = 0
-        epoch_usage = {"kept_ind": 0, "kept_ood": 0, "dropped_ind": 0, "dropped_ood": 0}
-        pool_inputs = pool.inputs if pool is not None else np.zeros((0, p.input_dim))
-
-        for batch in sampler.epoch_batches(dataset.labeled_x, y_all,
-                                           pool_inputs, epoch):
-            n_l = len(batch.labeled_x)
-            x_u = batch.unlabeled_x
-            u_idx = batch.unlabeled_idx
-            view2 = None
-            if use_dac and len(x_u):
-                view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
-                view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
-                x_u = view1
-            x_all = np.concatenate([batch.labeled_x, x_u]) if len(x_u) else batch.labeled_x
-
-            if labeled_out is not None:
-                parts = [[out[batch.labeled_idx] for out in labeled_out]]
-                if view2 is not None:
-                    parts.append(teacher_outputs(teacher, x_u))
-                elif len(x_u):
-                    parts.append([out[u_idx] for out in pool_out])
-                feats_t, z_t = (np.concatenate(group) for group in zip(*parts))
-
-            if use_ood and len(x_u):
-                kept, stats = ood_filter(detector, feats_t[n_l:], pool_ind[u_idx])
-                for key in epoch_usage:
-                    epoch_usage[key] += stats[key]
-                # Detector update: labeled rows are positives, a uniform
-                # subset of the incoming unlabeled batch the negatives.
-                n_neg = min(n_l, len(x_u))
-                neg_rows = det_rng.choice(len(x_u), size=n_neg, replace=False)
-                det_batch_loss = detector.loss(feats_t[:n_l], feats_t[n_l:][neg_rows])
-                backward(det_batch_loss)
-                det_opt.step()
-                keep_rows = np.flatnonzero(kept)
-                x_u = x_u[keep_rows]
-                u_idx = u_idx[keep_rows]
-                x_all = np.concatenate([batch.labeled_x, x_u]) if len(x_u) else batch.labeled_x
-                feats_t = np.concatenate([feats_t[:n_l], feats_t[n_l:][keep_rows]])
-                z_t = np.concatenate([z_t[:n_l], z_t[n_l:][keep_rows]])
-
-            try:
-                total, (ce, srd, reg) = stage2_loss(
-                    terms, (teacher, student, adaptor), cfg, x_all, batch.labeled_y,
-                    None if labeled_out is None else (feats_t, z_t),
-                    pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
-                    pseudo_weight=pseudo_weight, view2=view2)
-            except NumericError as exc:
-                raise DivergenceError(mode, seed, epoch, steps, exc.term, exc) from exc
-            value = total.item()
-            if not math.isfinite(value):
-                parts = {"ce": ce, "srd": srd, "reg": reg, "total": value}
-                term = next(k for k, v in parts.items() if not math.isfinite(v))
-                raise DivergenceError(mode, seed, epoch, steps, term,
-                                      ", ".join(f"{k} {v}" for k, v in parts.items()))
-            backward(total)
-            opt.step()
-            sums["ce"] += ce
-            sums["srd"] += srd
-            sums["reg"] += reg
-            sums["total"] += value
-            steps += 1
-
-        train_acc = evaluate_accuracy(student, dataset.labeled_x, dataset.labeled_y)
-        test_acc = evaluate_accuracy(student, dataset.test_x, dataset.test_y)
-        records.append(MetricsRecord(
-            run=run_id, mode=mode, seed=seed, epoch=epoch,
-            ce=sums["ce"] / steps, srd=sums["srd"] / steps,
-            reg=sums["reg"] / steps, total=sums["total"] / steps,
-            train_acc=train_acc, test_acc=test_acc))
+    for epoch, means in train_epochs(
+            mode, seed, params, cfg.optimizer, cfg.run.epochs, dataset.labeled_x,
+            one_hot(dataset.labeled_y, dataset.params.classes), step,
+            pool_x=None if pool is None else pool.inputs):
+        records.append(_epoch_record(run_id, mode, seed, epoch, means, student, dataset))
         if use_ood:
-            usage.append({"epoch": epoch, **epoch_usage})
+            usage.append({"epoch": epoch, **counts})
+            counts.update(dict.fromkeys(counts, 0))
 
     with no_grad():
         _, test_logits = student.forward(dataset.test_x)
-    k5 = min(5, p.classes)
+    k5 = min(5, dataset.params.classes)
     return RunResult(
         records=records, usage=usage, student=student, adaptor=adaptor,
         top1=top_k_accuracy(test_logits.values, dataset.test_y, 1),

@@ -13,9 +13,11 @@ fixed order; parsing that echo reproduces the identical configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 
-from .data import PLACEMENTS, DatasetParams
-from .distill import MODES, VARIANTS, SrdConfig
+from .data import DatasetParams, SettingError
+from .distill import MODES, SrdConfig
+from .models import parameter_count
 
 POLICIES = ("random", "teacher_score")
 
@@ -81,22 +83,14 @@ class ExperimentConfig:
     run: RunParams
 
 
+def _defaults(cls):
+    """Schema entries of a dataclass whose field defaults are the config defaults."""
+    return {f.name: (f.type, f.default) for f in dataclasses.fields(cls)}
+
+
 # section -> key -> (kind, default). kinds: int, float, bool, str, ints.
 SCHEMA = {
-    "dataset": {
-        "seed": ("int", 0),
-        "input_dim": ("int", 32),
-        "classes": ("int", 8),
-        "unseen_classes": ("int", 16),
-        "overlap": ("float", 0.1),
-        "labeled_per_class": ("int", 100),
-        "unlabeled_per_class": ("int", 120),
-        "test_per_class": ("int", 150),
-        "components_per_class": ("int", 4),
-        "class_separation": ("float", 1.0),
-        "noise": ("float", 1.0),
-        "unseen_placement": ("str", "mixed"),
-    },
+    "dataset": _defaults(DatasetParams),
     "teacher": {
         "hidden": ("ints", (256, 256)),
         "feature_dim": ("int", 64),
@@ -117,10 +111,7 @@ SCHEMA = {
         "unlabeled_batch_size": ("int", 64),
     },
     "distill": {
-        "variant": ("str", "mse"),
-        "alpha": ("float", 1.0),
-        "beta": ("float", 1.0),
-        "kd_temperature": ("float", 4.0),
+        **_defaults(SrdConfig),
         "kd_weight": ("float", 0.9),
         "dac_weight": ("float", 1.0),
         "dac_strength": ("float", 4.0),
@@ -142,24 +133,34 @@ SCHEMA = {
     },
 }
 
+# ExperimentConfig field -> (the section its keys come from, the dataclass built)
+PARTS = {
+    "dataset": ("dataset", DatasetParams),
+    "teacher": ("teacher", ArchParams),
+    "student": ("student", ArchParams),
+    "optimizer": ("optimizer", OptimParams),
+    "srd": ("distill", SrdConfig),
+    "baselines": ("distill", BaselineParams),
+    "run": ("run", RunParams),
+}
+
 
 def _convert(raw, kind, section, key, line):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "bool":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
-        return raw
+            if raw.lower() not in ("true", "false"):
+                raise ValueError(raw)
+            value = raw.lower() == "true"
+        elif kind == "ints":
+            value = tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
+        else:
+            value = {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {kind}, got {raw!r}", line) from None
-    raise AssertionError(kind)
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}", line)
+    return value
 
 
 def parse_config(text):
@@ -190,88 +191,38 @@ def parse_config(text):
     values, lines = {}, {}
     for sec, keys in SCHEMA.items():
         for key, (kind, default) in keys.items():
-            if (sec, key) in entries:
-                raw, line_no = entries[(sec, key)]
-                values[(sec, key)] = _convert(raw, kind, sec, key, line_no)
-                lines[(sec, key)] = line_no
-            else:
-                if default is None:
-                    raise ConfigError(f"missing required key {key!r} in [{sec}]")
-                values[(sec, key)] = default
-                lines[(sec, key)] = 0
-
-    _precheck(values, lines)
-    cfg = _build(values)
-    _validate(cfg, lines)
-    return cfg
+            raw, line_no = entries.get((sec, key), (None, 0))
+            values[(sec, key)] = default if raw is None else _convert(raw, kind, sec, key, line_no)
+            lines[(sec, key)] = line_no
+    return _validated(values, lines)
 
 
-def _precheck(values, lines):
-    # SrdConfig validates itself on construction; repeat its checks here
-    # first so a rejection still carries the offending source line.
-    def bad(key, message):
-        raise ConfigError(f"[distill] {key}: {message}",
-                          lines[("distill", key)])
+def _validated(values, lines):
+    """Build the configuration, mapping every out-of-range value to its line.
 
-    if values[("distill", "variant")] not in VARIANTS:
-        bad("variant", f"must be one of {', '.join(VARIANTS)}")
-    if values[("distill", "alpha")] < 0.0:
-        bad("alpha", "must be nonnegative")
-    if values[("distill", "beta")] < 0.0:
-        bad("beta", "must be nonnegative")
-    if values[("distill", "kd_temperature")] <= 0.0:
-        bad("kd_temperature", "must be positive")
-
-
-def _build(values):
-    def sec(name):
-        return {k: values[(name, k)] for k in SCHEMA[name]}
-
-    return ExperimentConfig(
-        dataset=DatasetParams(**sec("dataset")),
-        teacher=ArchParams(**sec("teacher")),
-        student=ArchParams(**sec("student")),
-        optimizer=OptimParams(**sec("optimizer")),
-        srd=SrdConfig(**{k: values[("distill", k)]
-                         for k in ("variant", "alpha", "beta", "kd_temperature")}),
-        baselines=BaselineParams(**{k: values[("distill", k)]
-                                    for k in ("kd_weight", "dac_weight", "dac_strength",
-                                              "pseudo_weight", "ood_threshold",
-                                              "detector_lr")}),
-        run=RunParams(**sec("run")))
-
-
-def _mlp_capacity(input_dim, arch, classes):
-    dims = [input_dim, *arch.hidden, arch.feature_dim]
-    n = sum(a * b + b for a, b in zip(dims, dims[1:]))
-    if arch.feature_norm:
-        n += 2 * arch.feature_dim
-    return n + arch.feature_dim * classes
-
-
-def _validate(cfg, lines):
+    ``DatasetParams`` and ``SrdConfig`` check their own fields and name the
+    one at fault; the settings only the experiment reads are checked here.
+    """
     def bad(section, key, message):
         raise ConfigError(f"[{section}] {key}: {message}", lines[(section, key)])
 
+    parts = {}
+    for field, (section, cls) in PARTS.items():
+        try:
+            parts[field] = cls(**{f.name: values[(section, f.name)]
+                                  for f in dataclasses.fields(cls)})
+        except SettingError as exc:
+            bad(section, exc.key, exc.message)
+    cfg = ExperimentConfig(**parts)
+
     d, o, r = cfg.dataset, cfg.optimizer, cfg.run
-    if d.classes < 2:
-        bad("dataset", "classes", "needs at least 2 seen classes")
-    if d.unseen_classes < 0:
-        bad("dataset", "unseen_classes", "must be nonnegative")
-    if not 0.0 <= d.overlap <= 1.0:
-        bad("dataset", "overlap", f"must lie in [0, 1], got {d.overlap}")
-    if d.unseen_placement not in PLACEMENTS:
-        bad("dataset", "unseen_placement", f"must be one of {', '.join(PLACEMENTS)}")
-    if min(d.input_dim, d.labeled_per_class, d.test_per_class,
-           d.components_per_class) < 1:
-        raise ConfigError("dataset sizes must be positive", 0)
     for name, arch in (("teacher", cfg.teacher), ("student", cfg.student)):
         if arch.feature_dim < 1:
             bad(name, "feature_dim", "must be positive")
         if any(h < 1 for h in arch.hidden):
             bad(name, "hidden", "layer widths must be positive")
-    if _mlp_capacity(d.input_dim, cfg.teacher, d.classes) < \
-            _mlp_capacity(d.input_dim, cfg.student, d.classes):
+    if parameter_count(d.input_dim, cfg.teacher, d.classes) < \
+            parameter_count(d.input_dim, cfg.student, d.classes):
         bad("student", "hidden", "student capacity exceeds teacher capacity")
     if o.lr <= 0.0:
         bad("optimizer", "lr", "must be positive")
@@ -291,8 +242,9 @@ def _validate(cfg, lines):
         bad("distill", "ood_threshold", "must lie in [0, 1]")
     if r.mode not in MODES:
         bad("run", "mode", f"must be one of {', '.join(MODES)}")
-    if r.epochs < 0 or r.teacher_epochs < 0:
-        bad("run", "epochs", "must be nonnegative")
+    for key in ("epochs", "teacher_epochs"):
+        if getattr(r, key) < 0:
+            bad("run", key, "must be nonnegative")
     if not 0.0 <= r.teacher_floor <= 1.0:
         bad("run", "teacher_floor", "must lie in [0, 1]")
     if not r.seeds:
@@ -301,10 +253,7 @@ def _validate(cfg, lines):
         bad("run", "unlabeled_fraction", f"must lie in (0, 1], got {r.unlabeled_fraction}")
     if r.selection_policy not in POLICIES:
         bad("run", "selection_policy", f"must be one of {', '.join(POLICIES)}")
-    try:
-        cfg.dataset.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def _format_value(value, kind):
@@ -319,18 +268,12 @@ def _format_value(value, kind):
 
 def format_config(cfg):
     """Resolved-configuration echo; parses back to an equal config."""
-    holders = {
-        "dataset": cfg.dataset, "teacher": cfg.teacher, "student": cfg.student,
-        "optimizer": cfg.optimizer, "run": cfg.run,
-    }
     out = ["# resolved configuration (init: fan-in scaled uniform)"]
     for section, keys in SCHEMA.items():
         out.append(f"[{section}]")
+        holders = [getattr(cfg, f) for f, (sec, _) in PARTS.items() if sec == section]
         for key, (kind, _) in keys.items():
-            if section == "distill":
-                holder = cfg.srd if hasattr(cfg.srd, key) else cfg.baselines
-            else:
-                holder = holders[section]
+            holder = next(h for h in holders if hasattr(h, key))
             out.append(f"{key} = {_format_value(getattr(holder, key), kind)}")
         out.append("")
     return "\n".join(out)

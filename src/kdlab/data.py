@@ -14,12 +14,11 @@ so serialized and regenerated datasets agree bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import io
 
 import numpy as np
 
-from .autograd import no_grad, softmax_values
-from .fileio import atomic_open
+from .autograd import softmax_values
+from .fileio import atomic_open, load_arrays, save_arrays
 
 DATASET_MAGIC = "kdlab-dataset 1"
 
@@ -30,9 +29,22 @@ DATASET_BLOCKS = ("labeled_x", "labeled_y", "test_x", "test_y", "unlabeled_x",
 PLACEMENTS = ("mixed", "near", "far")
 
 
+class SettingError(ValueError):
+    """A parameter out of range; ``key`` names the field at fault."""
+
+    def __init__(self, key, message):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
+
+
 @dataclasses.dataclass(frozen=True)
 class DatasetParams:
-    """Generator knobs; defaults are the standard benchmark preset."""
+    """Generator knobs; defaults are the standard benchmark preset.
+
+    Construction checks every field and raises ``SettingError`` naming
+    the first one out of range.
+    """
 
     seed: int = 0
     input_dim: int = 32
@@ -47,21 +59,27 @@ class DatasetParams:
     noise: float = 1.0
     unseen_placement: str = "mixed"
 
-    def validate(self):
+    def __post_init__(self):
         if self.classes < 2:
-            raise ValueError(f"dataset: needs at least 2 seen classes, got {self.classes}")
+            raise SettingError("classes", "needs at least 2 seen classes")
         if self.unseen_classes < 0:
-            raise ValueError("dataset: unseen_classes must be nonnegative")
+            raise SettingError("unseen_classes", "must be nonnegative")
         if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"dataset: overlap must lie in [0, 1], got {self.overlap}")
+            raise SettingError("overlap", f"must lie in [0, 1], got {self.overlap}")
         if self.unseen_placement not in PLACEMENTS:
-            raise ValueError(f"dataset: unknown unseen_placement {self.unseen_placement!r}")
-        if min(self.labeled_per_class, self.test_per_class) < 1:
-            raise ValueError("dataset: labeled and test pools need at least 1 sample per class")
+            raise SettingError("unseen_placement",
+                               f"must be one of {', '.join(PLACEMENTS)}")
+        for key in ("input_dim", "labeled_per_class", "test_per_class",
+                    "components_per_class"):
+            if getattr(self, key) < 1:
+                raise SettingError(key, "must be positive")
+        if self.unlabeled_per_class < 0:
+            raise SettingError("unlabeled_per_class", "must be nonnegative")
         seen_in_pool = round(self.overlap * self.classes)
         if seen_in_pool > 0 and self.unlabeled_per_class == 0:
-            raise ValueError(
-                f"dataset: overlap {self.overlap} asks for {seen_in_pool} seen classes "
+            raise SettingError(
+                "unlabeled_per_class",
+                f"overlap {self.overlap} asks for {seen_in_pool} seen classes "
                 "in an unlabeled pool of size 0")
 
 
@@ -123,7 +141,6 @@ def generate(params: DatasetParams) -> OpenSetDataset:
     samples. The unlabeled pool draws from round(overlap * K) seen
     classes plus every unseen class, with the same per-class count.
     """
-    params.validate()
     p = params
     seen_rng, unseen_rng, lab_rng, test_rng, pool_rng = [
         np.random.default_rng(s)
@@ -207,13 +224,14 @@ def augment(x, strength, rng):
     return x + mask * jitter
 
 
-def select_unlabeled(pool: UnlabeledPool, fraction, policy, teacher=None, seed=0):
-    """Deterministic sub-pool of the given fraction.
+def select_unlabeled(pool: UnlabeledPool, fraction, policy, logits=None, seed=0):
+    """Sorted pool indices of a deterministic sub-pool of the given fraction.
 
     ``random`` draws uniformly without replacement; ``teacher_score``
-    keeps the samples the teacher is most confident about (largest max
-    softmax probability), ties broken by pool index. Fraction 1.0 keeps
-    the whole pool under either policy.
+    keeps the rows the teacher is most confident about (largest max
+    softmax probability over ``logits``, the teacher's logits on the
+    pool's rows), ties broken by pool index. Fraction 1.0 keeps the whole
+    pool under either policy.
     """
     if len(pool) == 0:
         raise ValueError("select_unlabeled: pool is empty")
@@ -222,22 +240,18 @@ def select_unlabeled(pool: UnlabeledPool, fraction, policy, teacher=None, seed=0
     n = len(pool)
     keep = max(1, round(fraction * n))
     if keep >= n:
-        return pool.subset(np.arange(n))
+        return np.arange(n)
     if policy == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-        chosen = np.sort(rng.choice(n, size=keep, replace=False))
-    elif policy == "teacher_score":
-        if teacher is None:
-            raise ValueError("select_unlabeled: teacher_score policy needs a teacher")
-        with no_grad():
-            _, logits = teacher.forward(pool.inputs)
-        conf = softmax_values(logits.values).max(axis=1)
+        return np.sort(rng.choice(n, size=keep, replace=False))
+    if policy == "teacher_score":
+        if logits is None:
+            raise ValueError("select_unlabeled: teacher_score policy needs the teacher's logits")
+        conf = softmax_values(logits).max(axis=1)
         # Stable sort on negated confidence: ties keep pool order.
         order = np.argsort(-conf, kind="stable")
-        chosen = np.sort(order[:keep])
-    else:
-        raise ValueError(f"select_unlabeled: unknown policy {policy!r}")
-    return pool.subset(chosen)
+        return np.sort(order[:keep])
+    raise ValueError(f"select_unlabeled: unknown policy {policy!r}")
 
 
 @dataclasses.dataclass
@@ -310,23 +324,18 @@ class BatchSampler:
 def save_dataset(path, ds: OpenSetDataset):
     """Text header with the parameters, then little-endian double blocks.
 
-    The file is written with ``atomic_open``, so ``path`` never holds a
-    partial dataset.
+    One ``param name value`` line per ``DatasetParams`` field, then one
+    ``block name rows cols`` line per ``DATASET_BLOCKS`` entry, in the
+    ``fileio.save_arrays`` layout; ``path`` never holds a partial dataset.
     """
     tags, flags = ds.unlabeled.eval_view()
     arrays = (ds.labeled_x, ds.labeled_y, ds.test_x, ds.test_y,
               ds.unlabeled.inputs, tags, flags)
-    lines = [DATASET_MAGIC]
-    for field in dataclasses.fields(DatasetParams):
-        lines.append(f"param {field.name} {getattr(ds.params, field.name)!r}")
-    for name, arr in zip(DATASET_BLOCKS, arrays):
-        arr2 = np.atleast_2d(arr)
-        lines.append(f"block {name} {arr2.shape[0]} {arr2.shape[1]}")
-    lines.append("data")
-    with atomic_open(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    params = [f"param {field.name} {getattr(ds.params, field.name)!r}"
+              for field in dataclasses.fields(DatasetParams)]
+    save_arrays(path, DATASET_MAGIC,
+                [(name, np.atleast_2d(arr)) for name, arr in zip(DATASET_BLOCKS, arrays)],
+                head=params, tag="block")
 
 
 def _parse_param(kind, raw):
@@ -343,53 +352,32 @@ def load_dataset(path) -> OpenSetDataset:
     declare. Anything else raises ``ValueError`` naming the path and the
     param or block at fault.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head, sep, rest = blob.partition(b"data\n")
-    lines = head.decode("ascii", errors="replace").splitlines()
-    if not sep or not lines or lines[0] != DATASET_MAGIC:
-        raise ValueError(f"load_dataset: bad header in {path}")
+    who = "load_dataset"
+    lines, blocks = load_arrays(path, DATASET_MAGIC, who, tag="block",
+                                names=DATASET_BLOCKS, rank=2)
     field_types = {f.name: f.type for f in dataclasses.fields(DatasetParams)}
     kwargs = {}
-    blocks = {}
-    offset = 0
-    name = None
-    for line in lines[1:]:
+    for line in lines:
         kind, name, raw = (line.split(maxsplit=2) + ["", ""])[:3]
-        if kind not in ("param", "block"):
-            raise ValueError(f"load_dataset: {path}: unexpected header line {line!r}")
-        table, known = (kwargs, field_types) if kind == "param" else (blocks, DATASET_BLOCKS)
-        if name not in known:
-            raise ValueError(f"load_dataset: {path}: unknown {kind} {name!r}")
-        if name in table:
-            raise ValueError(f"load_dataset: {path}: {kind} {name!r} appears twice")
+        if kind != "param":
+            raise ValueError(f"{who}: {path}: unexpected header line {line!r}")
+        if name not in field_types:
+            raise ValueError(f"{who}: {path}: unknown param {name!r}")
+        if name in kwargs:
+            raise ValueError(f"{who}: {path}: param {name!r} appears twice")
         try:
-            if kind == "param":
-                kwargs[name] = _parse_param(field_types[name], raw)
-                continue
-            rows, cols = (int(v) for v in raw.split())
-            if rows < 0 or cols < 0:
-                raise ValueError
+            kwargs[name] = _parse_param(field_types[name], raw)
         except ValueError:
-            raise ValueError(f"load_dataset: {path}: bad value for {kind} {name!r}: "
+            raise ValueError(f"{who}: {path}: bad value for param {name!r}: "
                              f"{raw!r}") from None
-        count = rows * cols
-        if offset + count * 8 > len(rest):
-            raise ValueError(
-                f"load_dataset: {path}: payload ends inside block {name!r} "
-                f"({max(len(rest) - offset, 0)} of {count * 8} bytes)")
-        arr = np.frombuffer(rest, dtype="<f8", count=count, offset=offset)
-        blocks[name] = arr.reshape(rows, cols).astype(np.float64)
-        offset += count * 8
-    for kind, table, known in (("param", kwargs, field_types),
-                               ("block", blocks, DATASET_BLOCKS)):
-        missing = [n for n in known if n not in table]
-        if missing:
-            raise ValueError(f"load_dataset: {path}: missing {kind} {missing[0]!r}")
-    if offset != len(rest):
-        raise ValueError(f"load_dataset: {path}: {len(rest) - offset} trailing bytes "
-                         f"after block {name!r}")
-    params = DatasetParams(**kwargs)
+    missing = [n for n in field_types if n not in kwargs]
+    if missing:
+        raise ValueError(f"{who}: {path}: missing param {missing[0]!r}")
+    try:
+        params = DatasetParams(**kwargs)
+    except SettingError as exc:
+        raise ValueError(f"{who}: {path}: bad value for param {exc.key!r}: "
+                         f"{exc.message}") from None
     pool = UnlabeledPool(blocks["unlabeled_x"],
                          blocks["unlabeled_tags"].ravel().astype(np.int64),
                          blocks["unlabeled_ind"].ravel() > 0.5)
@@ -411,26 +399,16 @@ def export_csv(ds: OpenSetDataset, out_dir):
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    dim = ds.params.input_dim
-    feat_cols = ",".join(f"x{i}" for i in range(dim))
-
-    def rows(fh, xs, extras=None):
-        for i in range(len(xs)):
-            cells = [f"{v:.17g}" for v in xs[i]]
-            if extras is not None:
-                cells += [str(e[i]) for e in extras]
-            fh.write(",".join(cells) + "\n")
-
-    with open(os.path.join(out_dir, "labeled.csv"), "w") as fh:
-        fh.write(feat_cols + ",label\n")
-        rows(fh, ds.labeled_x, [ds.labeled_y])
-    with open(os.path.join(out_dir, "test.csv"), "w") as fh:
-        fh.write(feat_cols + ",label\n")
-        rows(fh, ds.test_x, [ds.test_y])
-    with open(os.path.join(out_dir, "unlabeled.csv"), "w") as fh:
-        fh.write(feat_cols + "\n")
-        rows(fh, ds.unlabeled.inputs)
+    feat_cols = [f"x{i}" for i in range(ds.params.input_dim)]
     tags, flags = ds.unlabeled.eval_view()
-    with open(os.path.join(out_dir, "unlabeled_eval.csv"), "w") as fh:
-        fh.write(feat_cols + ",hidden_class,is_ind\n")
-        rows(fh, ds.unlabeled.inputs, [tags, flags.astype(int)])
+    tables = (("labeled", ds.labeled_x, {"label": ds.labeled_y}),
+              ("test", ds.test_x, {"label": ds.test_y}),
+              ("unlabeled", ds.unlabeled.inputs, {}),
+              ("unlabeled_eval", ds.unlabeled.inputs,
+               {"hidden_class": tags, "is_ind": flags.astype(int)}))
+    for name, xs, extras in tables:
+        with atomic_open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
+            fh.write(",".join(feat_cols + list(extras)) + "\n")
+            for i in range(len(xs)):
+                cells = [f"{v:.17g}" for v in xs[i]] + [str(e[i]) for e in extras.values()]
+                fh.write(",".join(cells) + "\n")

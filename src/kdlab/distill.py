@@ -12,12 +12,13 @@ the terms each stage-2 mode adds; ``baselines.stage2_loss`` builds them.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .autograd import (NumericError, Tensor, backward, cross_entropy,
                        kl_alignment, mse, mul, softmax, softmax_values, sqrt)
-from .data import BatchSampler, one_hot
+from .data import BatchSampler, SettingError, one_hot
 from .optim import Sgd
 
 VARIANTS = ("kl", "mse", "pmse")
@@ -72,7 +73,10 @@ class DivergenceError(RuntimeError):
 
 @dataclasses.dataclass
 class SrdConfig:
-    """Distillation settings: variant, term weights, baseline temperature."""
+    """Distillation settings: variant, term weights, baseline temperature.
+
+    Construction raises ``SettingError`` naming the first field out of range.
+    """
 
     variant: str = "mse"
     alpha: float = 1.0
@@ -81,11 +85,12 @@ class SrdConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"SrdConfig: unknown variant {self.variant!r}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("SrdConfig: alpha and beta must be nonnegative")
+            raise SettingError("variant", f"must be one of {', '.join(VARIANTS)}")
+        for key in ("alpha", "beta"):
+            if getattr(self, key) < 0.0:
+                raise SettingError(key, "must be nonnegative")
         if self.kd_temperature <= 0.0:
-            raise ValueError("SrdConfig: kd_temperature must be positive")
+            raise SettingError("kd_temperature", "must be positive")
 
 
 def srd_kl(z_t, z_hat):
@@ -140,6 +145,47 @@ def lr_at(base_lr, milestones, gamma, epoch):
     return lr
 
 
+def train_epochs(mode, seed, params, optim_params, epochs, x, y, step, pool_x=None):
+    """The training loop of both stages; yields ``(epoch, means)`` per epoch.
+
+    Per seeded batch of labeled rows ``x`` (one-hot ``y``) and unlabeled
+    rows ``pool_x``, ``step(batch)`` returns the loss graph and its
+    (ce, srd, reg) floats; the loop backpropagates it and steps ``Sgd``
+    over ``params`` at the scheduled learning rate. ``means`` holds the
+    epoch's mean of each term and the total. A ``NumericError`` (whose
+    ``term``, "ce" if unset, names the term) or a non-finite loss raises
+    ``DivergenceError`` naming mode, seed, epoch, step and term.
+    """
+    if pool_x is None:
+        pool_x = np.zeros((0, x.shape[1]))
+    sampler = BatchSampler(optim_params.batch_size, optim_params.unlabeled_batch_size, seed)
+    opt = Sgd(params, optim_params.lr, optim_params.momentum, optim_params.weight_decay)
+    for epoch in range(epochs):
+        opt.lr = lr_at(optim_params.lr, optim_params.milestones, optim_params.gamma, epoch)
+        sums = {"ce": 0.0, "srd": 0.0, "reg": 0.0, "total": 0.0}
+        steps = 0
+        for batch in sampler.epoch_batches(x, y, pool_x, epoch):
+            try:
+                total, (ce, srd, reg) = step(batch)
+            except NumericError as exc:
+                raise DivergenceError(mode, seed, epoch, steps, getattr(exc, "term", "ce"),
+                                      exc) from exc
+            value = total.item()
+            if not math.isfinite(value):
+                parts = {"ce": ce, "srd": srd, "reg": reg, "total": value}
+                term = next(k for k, v in parts.items() if not math.isfinite(v))
+                raise DivergenceError(mode, seed, epoch, steps, term,
+                                      ", ".join(f"{k} {v}" for k, v in parts.items()))
+            backward(total)
+            opt.step()
+            sums["ce"] += ce
+            sums["srd"] += srd
+            sums["reg"] += reg
+            sums["total"] += value
+            steps += 1
+        yield epoch, {k: v / steps for k, v in sums.items()}
+
+
 def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     """Stage 1: supervised training of the teacher on the labeled pool.
 
@@ -151,23 +197,15 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     """
     from .metrics import evaluate_accuracy
 
+    def step(batch):
+        _, logits = net.forward(batch.labeled_x, train=True)
+        loss = cross_entropy(softmax(logits), batch.labeled_y)
+        return loss, (loss.item(), 0.0, 0.0)
+
     y = one_hot(dataset.labeled_y, dataset.params.classes)
-    sampler = BatchSampler(optim_params.batch_size, 0, seed)
-    opt = Sgd(net.parameters(), optim_params.lr, optim_params.momentum,
-              optim_params.weight_decay)
-    for epoch in range(epochs):
-        opt.lr = lr_at(optim_params.lr, optim_params.milestones,
-                       optim_params.gamma, epoch)
-        batches = sampler.epoch_batches(dataset.labeled_x, y,
-                                        np.zeros((0, dataset.params.input_dim)), epoch)
-        for step, batch in enumerate(batches):
-            _, logits = net.forward(batch.labeled_x, train=True)
-            try:
-                loss = cross_entropy(softmax(logits), batch.labeled_y)
-            except NumericError as exc:
-                raise DivergenceError("pretrain", seed, epoch, step, "ce", exc) from exc
-            backward(loss)
-            opt.step()
+    for _ in train_epochs("pretrain", seed, net.parameters(), optim_params, epochs,
+                          dataset.labeled_x, y, step):
+        pass
     if epochs > 0:
         accuracy = evaluate_accuracy(net, dataset.test_x, dataset.test_y)
         if accuracy < floor:

@@ -24,8 +24,8 @@ from .config import format_config, load_config, override
 from .data import generate
 from .distill import DivergenceError, pretrain_teacher
 from .fileio import atomic_open
-from .metrics import (fmt, summary_stats, write_metrics_csv, write_usage_csv,
-                      write_usage_curve_csv)
+from .metrics import (fmt, summary_stats, write_csv, write_metrics_csv,
+                      write_usage_csv, write_usage_curve_csv)
 from .models import build_pair, load_checkpoint, save_checkpoint
 
 SUMMARY_HEADER = "run,mode,seed,top1,top5,mimicry_kl"
@@ -69,7 +69,7 @@ def run(cfg):
     """Both stages for every seed; returns the summary aggregates."""
     out = cfg.run.out
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "resolved.cfg"), "w") as fh:
+    with atomic_open(os.path.join(out, "resolved.cfg"), "w") as fh:
         fh.write(format_config(cfg))
 
     dataset = generate(cfg.dataset)
@@ -173,11 +173,7 @@ def compare_markdown(table):
 def write_compare_csv(path, table):
     cols = ("mode", "seeds", "top1_mean", "top1_std", "top5_mean", "top5_std",
             "mimicry_mean", "mimicry_std")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(
-                row[c] if c == "mode" else fmt(row[c]) for c in cols) + "\n")
+    write_csv(path, cols, table)
 
 
 SWEEP_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -204,11 +200,8 @@ def sweep(cfg, fractions=SWEEP_FRACTIONS):
     rows.sort(key=lambda r: r["fraction"])
     trend_ok = all(rows[i + 1]["mean_top1"] >= rows[i]["mean_top1"] - SWEEP_SLACK
                    for i in range(len(rows) - 1))
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("fraction,mean_top1,std_top1\n")
-        for r in rows:
-            fh.write(f"{fmt(r['fraction'])},{fmt(r['mean_top1'])},{fmt(r['std_top1'])}\n")
-    with open(os.path.join(out, "sweep_report.txt"), "w") as fh:
+    write_csv(os.path.join(out, "sweep.csv"), ("fraction", "mean_top1", "std_top1"), rows)
+    with atomic_open(os.path.join(out, "sweep_report.txt"), "w") as fh:
         fh.write(f"policy: {cfg.run.selection_policy}\n")
         fh.write("fractions: " + ", ".join(fmt(r["fraction"]) for r in rows) + "\n")
         fh.write("mean top1 (%): "

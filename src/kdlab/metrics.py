@@ -12,14 +12,16 @@ import os
 import numpy as np
 
 from .autograd import LOG_FLOOR, no_grad, softmax_values
+from .fileio import atomic_open
 
 METRICS_COLUMNS = ("epoch", "ce", "srd", "reg", "total", "train_acc", "test_acc")
 USAGE_COLUMNS = ("epoch", "kept_ind", "kept_ood", "dropped_ind", "dropped_ood")
-SUMMARY_COLUMNS = ("run", "mode", "seed", "top1", "top5", "mimicry_kl")
 
 
 def fmt(x):
     """6-significant-digit float formatting shared by the metric CSVs."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return str(int(x))
     if isinstance(x, (int, np.integer)):
@@ -114,20 +116,22 @@ class MetricsRecord:
     test_acc: float
 
 
+def write_csv(path, columns, rows):
+    """A header line, then each row's ``columns`` as ``fmt`` cells; atomic."""
+    with atomic_open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
+
+
 def write_metrics_csv(path, records):
     """Per-epoch loss/accuracy table in the fixed column order."""
-    with open(path, "w") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for r in records:
-            fh.write(",".join(fmt(getattr(r, c)) for c in METRICS_COLUMNS) + "\n")
+    write_csv(path, METRICS_COLUMNS, [vars(r) for r in records])
 
 
 def write_usage_csv(path, rows):
     """Per-epoch kept/dropped counts split by the hidden IND/OOD flags."""
-    with open(path, "w") as fh:
-        fh.write(",".join(USAGE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[c]) for c in USAGE_COLUMNS) + "\n")
+    write_csv(path, USAGE_COLUMNS, rows)
 
 
 def usage_curve(rows):
@@ -148,11 +152,8 @@ def usage_curve(rows):
 
 
 def write_usage_curve_csv(path, rows):
-    cols = ("epoch", "kept_frac", "ind_kept_frac", "ood_kept_frac")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in usage_curve(rows):
-            fh.write(",".join(fmt(row[c]) for c in cols) + "\n")
+    write_csv(path, ("epoch", "kept_frac", "ind_kept_frac", "ood_kept_frac"),
+              usage_curve(rows))
 
 
 def feature_dump(net, x, labels, path):
@@ -161,7 +162,7 @@ def feature_dump(net, x, labels, path):
         feats, _ = net.forward(x)
     values = feats.values
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(values.shape[1])) + ",label\n")
         for row, label in zip(values, labels):
             fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(label)}\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, batch_norm, linear, matmul, no_grad
-from .fileio import atomic_open
+from .fileio import load_arrays, save_arrays
 
 CHECKPOINT_MAGIC = "kdlab-ckpt 1"
 
@@ -221,8 +221,16 @@ class Adaptor:
         _load_into(self.state_arrays(), arrays, "Adaptor")
 
 
-def parameter_count(net):
-    return sum(p.values.size for p in net.parameters())
+def parameter_count(input_dim, arch, classes):
+    """Trainable parameters of the network ``make_network`` builds from ``arch``.
+
+    The capacity rule: a teacher must count at least as many as its student.
+    """
+    dims = [input_dim, *arch.hidden, arch.feature_dim]
+    n = sum(a * b + b for a, b in zip(dims, dims[1:]))
+    if arch.feature_norm:
+        n += 2 * arch.feature_dim
+    return n + arch.feature_dim * classes
 
 
 def make_network(input_dim, arch, classes, seed, frozen=False):
@@ -245,14 +253,15 @@ def build_pair(cfg, seed):
     """
     input_dim = cfg.dataset.input_dim
     classes = cfg.dataset.classes
+    t_count, s_count = (parameter_count(input_dim, arch, classes)
+                        for arch in (cfg.teacher, cfg.student))
+    if t_count < s_count:
+        raise ValueError(f"build_pair: teacher capacity {t_count} is below "
+                         f"student capacity {s_count}")
     t_seed, s_seed, a_seed = [s.generate_state(1)[0]
                               for s in np.random.SeedSequence(seed).spawn(3)]
     teacher = make_network(input_dim, cfg.teacher, classes, t_seed)
     student = make_network(input_dim, cfg.student, classes, s_seed)
-    if parameter_count(teacher) < parameter_count(student):
-        raise ValueError(
-            f"build_pair: teacher capacity {parameter_count(teacher)} is below "
-            f"student capacity {parameter_count(student)}")
     rng = np.random.default_rng(np.random.SeedSequence(a_seed))
     adaptor = Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim, rng)
     return teacher, student, adaptor
@@ -276,53 +285,18 @@ def save_checkpoint(path, named_arrays):
 
     Header lines are the magic string, one ``name dim0 dim1 ...`` line per
     array in sorted-name order, and a lone ``data`` line; the payload is
-    each array's bytes in header order. Round-trips bit-exactly. The file
-    is written with ``atomic_open``, so ``path`` never holds a partial
-    checkpoint.
+    each array's bytes in header order (``fileio.save_arrays``).
+    Round-trips bit-exactly, and ``path`` never holds a partial checkpoint.
     """
-    names = sorted(named_arrays)
-    lines = [CHECKPOINT_MAGIC]
-    for name in names:
-        arr = named_arrays[name]
-        lines.append(" ".join([name, *[str(d) for d in arr.shape]]))
-    lines.append("data")
-    with atomic_open(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for name in names:
-            fh.write(np.ascontiguousarray(named_arrays[name], dtype="<f8").tobytes())
+    save_arrays(path, CHECKPOINT_MAGIC,
+                [(name, named_arrays[name]) for name in sorted(named_arrays)])
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into a dict of float64 arrays.
 
-    The payload must hold exactly the bytes the header declares; a short
-    or overlong payload raises ``ValueError`` naming the path and array.
+    Every byte is checked (``fileio.load_arrays``): a repeated name, a bad
+    dimension, a missing ``data`` line or a payload of the wrong length
+    raises ``ValueError`` naming the path and the array.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head, _, rest = blob.partition(b"data\n")
-    lines = head.decode("ascii").splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"load_checkpoint: bad header in {path}")
-    out = {}
-    offset = 0
-    name = None
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        name, *dims = line.split()
-        shape = tuple(int(d) for d in dims)
-        count = int(np.prod(shape)) if shape else 1
-        if offset + count * 8 > len(rest):
-            raise ValueError(
-                f"load_checkpoint: {path}: payload ends inside array {name!r} "
-                f"({len(rest) - offset} of {count * 8} bytes)")
-        arr = np.frombuffer(rest, dtype="<f8", count=count, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    if offset != len(rest):
-        where = f"array {name!r}" if name is not None else "the header"
-        raise ValueError(
-            f"load_checkpoint: {path}: {len(rest) - offset} trailing bytes "
-            f"after {where}")
-    return out
+    return load_arrays(path, CHECKPOINT_MAGIC, "load_checkpoint")[1]

@@ -102,21 +102,17 @@ def test_kd_rejects_bad_arguments():
 def test_pseudo_label_reads_the_teacher_argmax():
     cfg, ds, teacher = _setup()
     x = ds.unlabeled.inputs[:20]
-    labels = pseudo_label(teacher, x)
+    labels = pseudo_label(teacher_outputs(teacher, x)[1])
     _, logits = teacher.forward(x)
     assert np.array_equal(labels, np.argmax(logits.values, axis=1))
     assert labels.min() >= 0 and labels.max() < cfg.dataset.classes
 
 
 def test_pseudo_label_ties_resolve_to_the_lowest_class():
-    class Flat:
-        def forward(self, x, train=False):
-            z = np.zeros((len(x), 5))
-            z[:, 2] = 1.0
-            z[:, 4] = 1.0
-            return None, Tensor(z)
-
-    labels = pseudo_label(Flat(), np.zeros((7, 3)))
+    z = np.zeros((7, 5))
+    z[:, 2] = 1.0
+    z[:, 4] = 1.0
+    labels = pseudo_label(z)
     assert np.array_equal(labels, np.full(7, 2))
 
 
@@ -269,7 +265,7 @@ def test_a_lone_row_gets_the_outputs_it_has_inside_a_batch(monkeypatch):
 
 
 def _teacher_forwards(monkeypatch, cfg, ds, teacher):
-    """Frozen-teacher forwards in one trial, less mimicry_kl's one at the end."""
+    """Rows of each frozen-teacher forward in one trial, less mimicry_kl's at the end."""
     calls, at_end = [], []
     forward = Network.forward
 
@@ -287,24 +283,29 @@ def _teacher_forwards(monkeypatch, cfg, ds, teacher):
         m.setattr(baselines, "mimicry_kl", mimicry)
         train_with_mode(ds, teacher, cfg, 0)
     assert len(calls) == at_end[0] + 1
-    return at_end[0]
+    return sorted(calls[:at_end[0]])
 
 
 def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):
     cfg, ds, teacher = _setup()
     steps = BatchSampler(cfg.optimizer.batch_size, 0, 0).epoch_length(len(ds.labeled_x))
+    assert (len(ds.labeled_x), len(ds.unlabeled)) == (48, 40)
 
-    def forwards(mode, epochs):
-        return _teacher_forwards(monkeypatch, override(cfg, mode=mode, epochs=epochs),
-                                 ds, teacher)
+    def forwards(mode, epochs, **run):
+        return _teacher_forwards(
+            monkeypatch, override(cfg, mode=mode, epochs=epochs, **run), ds, teacher)
 
-    assert forwards("supervised", 1) == forwards("supervised", 3) == 0
-    # one forward of the labeled rows and one of the pool (48 and 40 rows)
+    assert forwards("supervised", 1) == forwards("supervised", 3) == []
+    # one forward of the pool and one of the labeled rows
     for mode in ("srd", "kd", "srd+ood"):
-        assert forwards(mode, 1) == forwards(mode, 3) == 2, mode
+        assert forwards(mode, 1) == forwards(mode, 3) == [40, 48], mode
+    # the pool once, read by the selection policy and the pseudo labels or terms alike
+    half = dict(selection_policy="teacher_score", unlabeled_fraction=0.5)
+    assert forwards("pseudo_label", 1) == forwards("pseudo_label", 3, **half) == [40]
+    assert forwards("srd", 1, **half) == forwards("srd", 3, **half) == [40, 48]
     # the labeled rows once, then every step's fresh view of its pool rows
-    assert forwards("srd+dac", 1) == 1 + steps
-    assert forwards("srd+dac", 3) == 1 + 3 * steps
+    assert len(forwards("srd+dac", 1)) == 1 + steps
+    assert len(forwards("srd+dac", 3)) == 1 + 3 * steps
 
 
 def test_zero_epochs_return_the_initial_student():

@@ -122,11 +122,34 @@ def test_out_of_range_values_carry_their_line():
              ("[distill]\nvariant = cubic\n", 2),
              ("[run]\nselection_policy = oracle\n", 2),
              ("[run]\nunlabeled_fraction = 0\n", 2),
-             ("[run]\nteacher_floor = 2\n", 2)]
+             ("[run]\nteacher_floor = 2\n", 2),
+             ("[optimizer]\nlr = nan\n", 2),
+             ("[distill]\n\nalpha = nan\n", 3),
+             ("[distill]\nkd_weight = inf\n", 2)]
     for text, line in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert _line_of(err) == line, text
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[run]\nepochs = 3\nteacher_epochs = -1\n", 3,
+     "[run] teacher_epochs: must be nonnegative"),
+    ("[dataset]\n# padding\ninput_dim = 0\n", 3, "[dataset] input_dim: must be positive"),
+    ("[dataset]\nclasses = 4\ntest_per_class = 0\n", 3,
+     "[dataset] test_per_class: must be positive"),
+    ("[dataset]\noverlap = 0.5\nunseen_classes = 0\nunlabeled_per_class = 0\n", 4,
+     "[dataset] unlabeled_per_class: overlap 0.5 asks for 4 seen classes "
+     "in an unlabeled pool of size 0"),
+    ("[dataset]\nunlabeled_per_class = -3\n", 2,
+     "[dataset] unlabeled_per_class: must be nonnegative"),
+], ids=["teacher_epochs", "input_dim", "test_per_class", "overlap_vs_empty_pool",
+        "negative_pool"])
+def test_dataset_and_run_errors_name_their_own_key_and_line(text, line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert _line_of(err) == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_student_above_teacher_is_rejected_at_parse_time():

@@ -147,21 +147,19 @@ def test_random_selection_size_and_determinism():
     for fraction in (0.25, 0.5, 0.75):
         sub = select_unlabeled(ds.unlabeled, fraction, "random", seed=4)
         assert len(sub) == round(fraction * n)
+        assert np.array_equal(sub, np.unique(sub))
     a = select_unlabeled(ds.unlabeled, 0.5, "random", seed=4)
     b = select_unlabeled(ds.unlabeled, 0.5, "random", seed=4)
-    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a, b)
     c = select_unlabeled(ds.unlabeled, 0.5, "random", seed=5)
-    assert not np.array_equal(a.inputs, c.inputs)
+    assert not np.array_equal(a, c)
 
 
 def test_full_fraction_keeps_everything():
     ds = generate(SMALL)
     for policy in ("random", "teacher_score"):
-        teacher = make_network(SMALL.input_dim,
-                               ArchParams((8,), 4, True), SMALL.classes,
-                               seed=0, frozen=True)
-        sub = select_unlabeled(ds.unlabeled, 1.0, policy, teacher=teacher)
-        assert np.array_equal(sub.inputs, ds.unlabeled.inputs)
+        sub = select_unlabeled(ds.unlabeled, 1.0, policy)
+        assert np.array_equal(sub, np.arange(len(ds.unlabeled)))
 
 
 def test_teacher_score_matches_confidence_sort():
@@ -176,9 +174,8 @@ def test_teacher_score_matches_confidence_sort():
     keep = round(0.5 * len(ds.unlabeled))
     order = np.argsort(-conf, kind="stable")
     expect = np.sort(order[:keep])
-    sub = select_unlabeled(ds.unlabeled, 0.5, "teacher_score",
-                           teacher=teacher)
-    assert np.array_equal(sub.inputs, ds.unlabeled.inputs[expect])
+    sub = select_unlabeled(ds.unlabeled, 0.5, "teacher_score", logits.values)
+    assert np.array_equal(sub, expect)
 
 
 def test_selection_rejects_bad_arguments():
@@ -191,7 +188,7 @@ def test_selection_rejects_bad_arguments():
     with pytest.raises(ValueError):
         select_unlabeled(ds.unlabeled, 1.2, "random")
     with pytest.raises(ValueError):
-        select_unlabeled(ds.unlabeled, 0.5, "teacher_score", teacher=None)
+        select_unlabeled(ds.unlabeled, 0.5, "teacher_score", logits=None)
     with pytest.raises(ValueError):
         select_unlabeled(ds.unlabeled, 0.5, "best_guesses")
 
@@ -334,6 +331,10 @@ def test_dataset_loader_rejects_bad_values_and_repeats(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, f"param seed {SMALL.seed!r}", "param seed x")
     with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'seed'"):
+        load_dataset(str(path))
+    path = _saved(tmp_path)
+    _edit_header(path, f"param classes {SMALL.classes!r}", "param classes 1")
+    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'classes'"):
         load_dataset(str(path))
     path = _saved(tmp_path)
     _edit_header(path, "block test_x", "block labeled_x")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kdlab
-from kdlab import harness
+from kdlab import harness, metrics
 from kdlab.config import override, parse_config
 from kdlab.data import generate
 from kdlab.distill import DivergenceError
@@ -151,21 +151,26 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 
 def test_summary_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
-    calls = []
+    # The summary, then the first metrics CSV, fails after its header and
+    # first cells are written; the files written before it stay.
+    for module, failed, written in ((harness, "summary", "metrics_seed1.csv"),
+                                    (metrics, "metrics_seed0", "resolved.cfg")):
+        calls = []
 
-    def failing_fmt(value):
-        # The header and the first seed's row are written before it fails.
-        calls.append(value)
-        if len(calls) > 3:
-            raise OSError("disk full")
-        return f"{value:.6g}"
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) > 3:
+                raise OSError("disk full")
+            return f"{value:.6g}"
 
-    monkeypatch.setattr(harness, "fmt", failing_fmt)
-    with pytest.raises(OSError, match="disk full"):
-        run(_cfg(tmp_path))
-    names = os.listdir(tmp_path / "out")
-    assert "metrics_seed1.csv" in names
-    assert not [n for n in names if n.startswith("summary")]
+        out = f"out-{failed}"
+        with monkeypatch.context() as m:
+            m.setattr(module, "fmt", failing_fmt)
+            with pytest.raises(OSError, match="disk full"):
+                run(_cfg(tmp_path, out))
+        names = os.listdir(tmp_path / out)
+        assert written in names, failed
+        assert not [n for n in names if n.startswith(failed)], failed
 
 
 def test_stage_two_replays_against_a_warm_cache(tmp_path):

@@ -135,6 +135,34 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(str(path))
 
 
+def _edit_checkpoint(path, old, new):
+    head, sep, payload = path.read_bytes().partition(b"\ndata\n")
+    assert old.encode() in head
+    path.write_bytes(head.replace(old.encode(), new.encode()) + sep + payload)
+
+
+def test_checkpoint_rejects_a_repeated_name(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    _edit_checkpoint(path, "\nb 4", "\na 4")
+    with pytest.raises(ValueError, match=r"net\.ckpt.*array 'a' appears twice"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_a_bad_dimension(tmp_path):
+    for dims in ("x", "-4", "4.0"):
+        path = _small_checkpoint(tmp_path)
+        _edit_checkpoint(path, "\nb 4", f"\nb {dims}")
+        with pytest.raises(ValueError, match=rf"net\.ckpt.*bad value for array 'b': '{dims}'"):
+            load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_a_missing_data_line(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\ndata\n", b"\n", 1))
+    with pytest.raises(ValueError, match=r"net\.ckpt.*no 'data' line"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_write_that_fails_midway_leaves_no_file(tmp_path):
     path = tmp_path / "teacher.ckpt"
     # "z" sorts last, so the header and "a" are written before it fails.
@@ -294,7 +322,8 @@ def test_parameter_count_matches_hand_count():
     arch = ArchParams(hidden=(5, 3), feature_dim=2, feature_norm=True)
     net = make_network(4, arch, classes=6, seed=0)
     # affines: (4*5+5) + (5*3+3) + (3*2+2), feature bn: 2+2, classifier: 2*6
-    assert parameter_count(net) == 25 + 18 + 8 + 4 + 12
+    assert parameter_count(4, arch, 6) == 25 + 18 + 8 + 4 + 12
+    assert parameter_count(4, arch, 6) == sum(p.values.size for p in net.parameters())
 
 
 def test_adaptor_output_lives_in_nonnegative_range():
