@@ -10,7 +10,8 @@ second.
 
 import numpy as np
 
-from kdlab.autograd import Tensor, backward, cross_entropy, matmul, no_grad, relu, softmax
+from kdlab.autograd import (Tensor, backward, matmul, no_grad, relu, softmax,
+                            softmax_cross_entropy)
 from kdlab.data import one_hot
 from kdlab.optim import Sgd
 
@@ -27,7 +28,8 @@ labels = one_hot(np.array([0, 1, 0]), 2)
 hidden = relu(matmul(x, w1))
 logits = matmul(hidden, w2)
 probs = softmax(logits)
-loss = cross_entropy(probs, labels)
+# The loss takes the logits: softmax and cross-entropy are one graph node.
+loss = softmax_cross_entropy(logits, labels)
 
 print("logits:")
 print(np.array_str(logits.values, precision=4))
@@ -54,7 +56,7 @@ def loss_at(delta):
         bumped = w1.values.copy()
         bumped[i, j] += delta
         h = relu(matmul(x, Tensor(bumped)))
-        return cross_entropy(softmax(matmul(h, w2)), labels).item()
+        return softmax_cross_entropy(matmul(h, w2), labels).item()
 
 
 numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
@@ -71,7 +73,7 @@ opt = Sgd([w1, w2], lr=0.1, momentum=0.9)
 print("\nSGD with momentum on the same batch:")
 for step in range(5):
     opt.zero_grad()
-    loss = cross_entropy(softmax(matmul(relu(matmul(x, w1)), w2)), labels)
+    loss = softmax_cross_entropy(matmul(relu(matmul(x, w1)), w2), labels)
     backward(loss)
     opt.step()
     print(f"  step {step}: loss {loss.item():.6f}")

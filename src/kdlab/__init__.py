@@ -14,9 +14,9 @@ seeded runs replay bit for bit.
 """
 
 from .autograd import (LOG_FLOOR, NumericError, ShapeError, Tensor, backward,
-                       batch_norm, cross_entropy, kl_alignment, linear, matmul,
-                       mse, no_grad, relu, sigmoid, slice_rows, softmax,
-                       softmax_values, sqrt)
+                       batch_norm, cosine_loss, l2_distance, linear, logistic_loss,
+                       matmul, mse, no_grad, relu, sigmoid, slice_rows, softmax,
+                       softmax_cross_entropy, softmax_values, sqrt)
 from .baselines import (MODES, OodDetector, RunResult, cosine_rows, kd_loss,
                         ood_filter, pseudo_label, stage2_loss, train_with_mode)
 from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,

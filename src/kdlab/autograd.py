@@ -358,10 +358,14 @@ def sqrt(a):
     return _make(root, "sqrt", (a,), rule)
 
 
+def _sigmoid_values(v):
+    v = np.clip(v, -500.0, 500.0)
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(a):
     a = _promote(a)
-    v = np.clip(a.values, -500.0, 500.0)
-    s = 1.0 / (1.0 + np.exp(-v))
+    s = _sigmoid_values(a.values)
 
     def rule(g):
         return (g * s * (1.0 - s),)
@@ -374,15 +378,18 @@ def softmax(z):
     z = _promote(z)
     if not np.all(np.isfinite(z.values)):
         raise NumericError("softmax: input contains non-finite values")
-    shifted = z.values - z.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = softmax_values(z.values)
 
     def rule(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
+        return (_softmax_grad(p, g),)
 
     return _make(p, "softmax", (z,), rule)
+
+
+def _softmax_grad(p, g):
+    """Gradient reaching the logits of ``p = softmax(z)`` from ``g`` on ``p``."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - dot)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
@@ -421,50 +428,154 @@ def slice_rows(a, start, stop):
     return _make(values, "slice_rows", (a,), rule)
 
 
-def cross_entropy(p, y):
-    """Mean cross-entropy of probability rows ``p`` against one-hot ``y``.
+def softmax_cross_entropy(z, target):
+    """Mean cross-entropy of ``softmax(z)`` against ``target`` rows, as one node.
 
-    A single vector gives the plain cross-entropy; a batch is averaged
-    over its rows. ``y`` is treated as constant.
+    ``target`` holds one-hot labels or a distribution per row and is
+    treated as constant. A single vector gives the plain cross-entropy; a
+    batch is averaged over its rows. Values and gradients are
+    bit-identical to the composed graph
+    ``-mean(sum(target * log(softmax(z)), -1))``, log floored at
+    ``LOG_FLOOR``: the backward repeats its operations in the order the
+    graph walk would run them. Non-finite logits raise ``NumericError``.
     """
-    p = _promote(p)
-    y = _promote(y).detach()
-    if p.shape != y.shape:
-        raise ShapeError(f"cross_entropy: shapes differ, {p.shape} vs {y.shape}")
-    ll = mul(y, log(p)).sum(axis=-1)
-    if p.ndim == 1:
-        return neg(ll)
-    return neg(ll.mean())
+    z = _promote(z)
+    target = _promote(target).values
+    if z.shape != target.shape:
+        raise ShapeError(f"softmax_cross_entropy: shapes differ, {z.shape} vs {target.shape}")
+    if z.ndim not in (1, 2):
+        raise ShapeError(f"softmax_cross_entropy: expects 1-d or 2-d logits, got {z.shape}")
+    if not np.all(np.isfinite(z.values)):
+        raise NumericError("softmax_cross_entropy: logits contain non-finite values")
+    p = softmax_values(z.values)
+    floored = np.maximum(p, LOG_FLOOR)
+    ll = (target * np.log(floored)).sum(axis=-1)
+    inv_n = 1.0 / ll.size if z.ndim == 2 else None
+    values = -ll if inv_n is None else -(ll.sum() * inv_n)
+
+    def rule(g):
+        g = -g if inv_n is None else -g * inv_n
+        return (_softmax_grad(p, g * target / floored),)
+
+    return _make(values, "softmax_cross_entropy", (z,), rule)
 
 
-def kl_alignment(p_target, p_pred):
-    """Soft-target cross-entropy: mean of -sum(p_target * log p_pred).
+def _row_distance(op, a, b, root):
+    """Shared kernel of ``mse`` and ``l2_distance``: one node over ``a - b``.
 
-    The target distribution is treated as constant; no gradient flows
-    into it. Equals the entropy of ``p_target`` when the two agree.
+    Squared row distances (their square roots if ``root``), averaged over
+    the rows of a batch. The backward repeats the composed graph
+    ``sub``, ``mul(d, d)``, ``sum(-1)`` (, ``sqrt``)(, ``mean``): the
+    product's two factors reach ``d`` one after the other.
     """
-    p_target = _promote(p_target).detach()
-    p_pred = _promote(p_pred)
-    if p_target.shape != p_pred.shape:
-        raise ShapeError(f"kl_alignment: shapes differ, {p_target.shape} vs {p_pred.shape}")
-    ll = mul(p_target, log(p_pred)).sum(axis=-1)
-    if p_pred.ndim == 1:
-        return neg(ll)
-    return neg(ll.mean())
+    a, b = _promote(a), _promote(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
+    if a.ndim not in (1, 2):
+        raise ShapeError(f"{op}: expects 1-d or 2-d input, got {a.shape}")
+    d = a.values - b.values
+    dist = (d * d).sum(axis=-1)
+    denom = None
+    if root:
+        dist = np.sqrt(dist)
+        denom = 2.0 * np.maximum(dist, LOG_FLOOR)
+    inv_n = 1.0 / dist.size if a.ndim == 2 else None
+    values = dist if inv_n is None else dist.sum() * inv_n
+
+    def rule(g):
+        if inv_n is not None:
+            g = g * inv_n
+        if denom is not None:
+            g = g / denom
+        g_d = np.expand_dims(g, -1) * d
+        g_d = g_d + g_d
+        return (g_d if a.requires_grad else None,
+                -g_d if b.requires_grad else None)
+
+    return _make(values, op, (a, b), rule)
 
 
 def mse(a, b):
     """Squared difference, summed over the last axis, averaged over rows."""
-    a, b = _promote(a), _promote(b)
+    return _row_distance("mse", a, b, root=False)
+
+
+def l2_distance(a, b):
+    """Unsquared L2 distance between rows, averaged over the rows of a batch."""
+    return _row_distance("l2_distance", a, b, root=True)
+
+
+def _cosine_parts(a, b):
+    dot = (a * b).sum(axis=-1)
+    norm_a = np.sqrt((a * a).sum(axis=-1))
+    norm_b = np.sqrt((b * b).sum(axis=-1))
+    return dot, norm_a, norm_b, norm_a * norm_b + 1e-12
+
+
+def cosine_rows(a, b):
+    """Per-row cosine similarity of two arrays, epsilon-guarded denominator."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes differ, {a.shape} vs {b.shape}")
-    if a.ndim > 2:
-        raise ShapeError(f"mse: expects 1-d or 2-d input, got {a.shape}")
-    d = sub(a, b)
-    per_row = mul(d, d).sum(axis=-1)
-    if a.ndim <= 1:
-        return per_row
-    return per_row.mean()
+        raise ShapeError(f"cosine_rows: shapes differ, {a.shape} vs {b.shape}")
+    dot, _, _, denom = _cosine_parts(a, b)
+    return dot / denom
+
+
+def cosine_loss(a, b):
+    """Negative batch mean of ``cosine_rows(a, b)`` as one node; ``b`` is constant.
+
+    Bit-identical to the composed graph ``-(dot / (|a| |b| + 1e-12)).mean()``:
+    ``a`` receives its gradient from ``a * b`` first, then from both
+    factors of ``a * a``, as the graph walk adds them.
+    """
+    a = _promote(a)
+    b = _promote(b).values
+    if a.shape != b.shape:
+        raise ShapeError(f"cosine_loss: shapes differ, {a.shape} vs {b.shape}")
+    if a.ndim not in (1, 2):
+        raise ShapeError(f"cosine_loss: expects 1-d or 2-d input, got {a.shape}")
+    dot, norm_a, norm_b, denom = _cosine_parts(a.values, b)
+    cos = dot / denom
+    inv_n = 1.0 / cos.size
+    values = -(cos.sum() * inv_n)
+
+    def rule(g):
+        g = -g * inv_n
+        g_denom = -g * dot / (denom * denom)
+        g_dot = np.expand_dims(g / denom, -1)
+        g_sq = g_denom * norm_b / (2.0 * np.maximum(norm_a, LOG_FLOOR))
+        g_sq = np.expand_dims(g_sq, -1) * a.values
+        return ((g_dot * b + g_sq) + g_sq,)
+
+    return _make(values, "cosine_loss", (a,), rule)
+
+
+def logistic_loss(x_pos, x_neg, w, b):
+    """Binary cross-entropy of ``sigmoid(x @ w + b)`` as one node.
+
+    Rows of ``x_pos`` are positives and rows of ``x_neg`` negatives; the
+    loss is minus the sum of each group's mean log-likelihood, logs
+    floored at ``LOG_FLOOR``. The inputs are constant; ``w`` and ``b``
+    get gradients bit-identical to the composed graph, in which each
+    group has its own ``matmul``, ``add`` and ``sigmoid``.
+    """
+    x_pos, x_neg = _promote(x_pos).values, _promote(x_neg).values
+    w, b = _promote(w), _promote(b)
+    s_pos = _sigmoid_values(x_pos @ w.values + b.values)
+    s_neg = _sigmoid_values(x_neg @ w.values + b.values)
+    floored_pos = np.maximum(s_pos, LOG_FLOOR)
+    floored_neg = np.maximum(1.0 - s_neg, LOG_FLOOR)
+    inv_pos, inv_neg = 1.0 / s_pos.size, 1.0 / s_neg.size
+    values = -(np.log(floored_pos).sum() * inv_pos + np.log(floored_neg).sum() * inv_neg)
+
+    def rule(g):
+        g = -g
+        g_pos = (g * inv_pos / floored_pos) * s_pos * (1.0 - s_pos)
+        g_neg = -(g * inv_neg / floored_neg) * s_neg * (1.0 - s_neg)
+        return (x_pos.T @ g_pos + x_neg.T @ g_neg if w.requires_grad else None,
+                g_pos.sum(axis=0) + g_neg.sum(axis=0) if b.requires_grad else None)
+
+    return _make(values, "logistic_loss", (w, b), rule)
 
 
 def backward(loss):

@@ -13,9 +13,11 @@ import dataclasses
 
 import numpy as np
 
-from .autograd import (NumericError, Tensor, backward, cross_entropy,
-                       kl_alignment, log, mul, no_grad, sigmoid, slice_rows,
-                       softmax, softmax_values, sqrt)
+from .autograd import (NumericError, Tensor, backward, cosine_loss, logistic_loss,
+                       no_grad, sigmoid, slice_rows, softmax_cross_entropy,
+                       softmax_values)
+# The per-row view of the dac term, importable beside it.
+from .autograd import cosine_rows  # noqa: F401
 from .data import augment, one_hot, select_unlabeled
 from .distill import MODES, feature_reg, srd_loss, train_epochs
 from .metrics import (USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, mimicry_kl,
@@ -45,8 +47,7 @@ def kd_loss(z_t, z_s, temperature):
     if z_t.shape != z_s.shape:
         raise ValueError(f"kd_loss: shapes differ, {z_t.shape} vs {z_s.shape}")
     inv = 1.0 / float(temperature)
-    p_t = softmax_values(z_t.values * inv)
-    soft = kl_alignment(p_t, softmax(z_s * inv))
+    soft = softmax_cross_entropy(z_s * inv, softmax_values(z_t.values * inv))
     return float(temperature) ** 2 * soft
 
 
@@ -72,18 +73,6 @@ def teacher_outputs(teacher, x):
         feats.append(f.values[:len(rows)])
         logits.append(z.values[:len(rows)])
     return np.concatenate(feats), np.concatenate(logits)
-
-
-def cosine_rows(a, b):
-    """Per-row cosine similarity with an epsilon-guarded denominator."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"cosine_rows: shapes differ, {a.shape} vs {b.shape}")
-    dot = mul(a, b).sum(axis=-1)
-    na = sqrt(mul(a, a).sum(axis=-1))
-    nb = sqrt(mul(b, b).sum(axis=-1))
-    return dot / (na * nb + 1e-12)
 
 
 class OodDetector:
@@ -112,12 +101,8 @@ class OodDetector:
         return s.values.ravel()
 
     def loss(self, positive_features, negative_features):
-        """Binary cross-entropy on the two feature groups."""
-        p_pos = sigmoid(Tensor(positive_features) @ self.weight + self.bias)
-        p_neg = sigmoid(Tensor(negative_features) @ self.weight + self.bias)
-        pos_term = log(p_pos).mean()
-        neg_term = log(1.0 - p_neg).mean()
-        return -(pos_term + neg_term)
+        """Binary cross-entropy on the two feature groups, as one graph node."""
+        return logistic_loss(positive_features, negative_features, self.weight, self.bias)
 
 
 def ood_filter(detector, features, ind_flags):
@@ -179,7 +164,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     try:
         feats_s, logits_s = student.forward(x, train=True)
         logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
-        ce = cross_entropy(softmax(logits_l), y)
+        ce = softmax_cross_entropy(logits_l, y)
         total = ce
         srd_term = reg_term = 0.0
 
@@ -200,7 +185,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
         if "pseudo" in terms and len(x) > n_l:
             term = "pseudo"
             logits_u = slice_rows(logits_s, n_l, len(x))
-            ce_u = cross_entropy(softmax(logits_u), one_hot(pseudo_y, logits_s.shape[1]))
+            ce_u = softmax_cross_entropy(logits_u, one_hot(pseudo_y, logits_s.shape[1]))
             # Union-mean CE: every pool sample counts like a labeled one,
             # so the pool/labeled size ratio sets the mixing weight.
             total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
@@ -209,7 +194,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
             term = "dac"
             # Two-view consistency: the teacher's logits past n_l are on view 1.
             _, z_s_v2 = student.forward(view2, train=True)
-            dac = -cosine_rows(z_s_v2, Tensor(z_t[n_l:])).mean()
+            dac = cosine_loss(z_s_v2, z_t[n_l:])
             total = total + cfg.baselines.dac_weight * dac
     except NumericError as exc:
         exc.term = term
@@ -233,8 +218,9 @@ def _trial_setup(dataset, teacher, cfg, terms, select_seed):
             and cfg.optimizer.unlabeled_batch_size > 0):
         return None, labeled_out, None, None, None
     full = dataset.unlabeled
-    reads_pool = (run.selection_policy == "teacher_score" or "pseudo" in terms
-                  or (reads_teacher and "dac" not in terms))
+    # teacher_score reads the pool's logits only to choose a strict subset
+    scores_pool = run.selection_policy == "teacher_score" and run.unlabeled_fraction < 1.0
+    reads_pool = scores_pool or "pseudo" in terms or (reads_teacher and "dac" not in terms)
     full_out = teacher_outputs(teacher, full.inputs) if reads_pool else None
     chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
                               None if full_out is None else full_out[1], seed=select_seed)

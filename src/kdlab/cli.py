@@ -154,6 +154,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_compare(args):
+    for d in args.dirs:
+        for name in ("resolved.cfg", "summary.csv"):
+            if not os.path.isfile(os.path.join(d, name)):
+                raise ConfigError(f"compare: {d} is not a finished run directory "
+                                  f"(no {name})")
     table = compare(args.dirs)
     print(compare_markdown(table))
     if args.out:

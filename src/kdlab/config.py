@@ -249,6 +249,8 @@ def _validated(values, lines):
         bad("run", "teacher_floor", "must lie in [0, 1]")
     if not r.seeds:
         bad("run", "seeds", "needs at least one seed")
+    if any(seed < 0 for seed in r.seeds):
+        bad("run", "seeds", "must be nonnegative")
     if not 0.0 < r.unlabeled_fraction <= 1.0:
         bad("run", "unlabeled_fraction", f"must lie in (0, 1], got {r.unlabeled_fraction}")
     if r.selection_policy not in POLICIES:

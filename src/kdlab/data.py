@@ -60,6 +60,8 @@ class DatasetParams:
     unseen_placement: str = "mixed"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SettingError("seed", "must be nonnegative")
         if self.classes < 2:
             raise SettingError("classes", "needs at least 2 seen classes")
         if self.unseen_classes < 0:

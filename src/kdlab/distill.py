@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .autograd import (NumericError, Tensor, backward, cross_entropy,
-                       kl_alignment, mse, mul, softmax, softmax_values, sqrt)
+from .autograd import (NumericError, Tensor, backward, l2_distance, mse, softmax,
+                       softmax_cross_entropy, softmax_values)
 from .data import BatchSampler, SettingError, one_hot
 from .optim import Sgd
 
@@ -96,8 +96,7 @@ class SrdConfig:
 def srd_kl(z_t, z_hat):
     """Soft cross-entropy of cross-network logits against teacher logits."""
     z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-    p_t = softmax_values(z_t.values)
-    return kl_alignment(p_t, softmax(z_hat))
+    return softmax_cross_entropy(z_hat, softmax_values(z_t.values))
 
 
 def srd_mse(z_t, z_hat):
@@ -125,15 +124,7 @@ def srd_loss(variant, z_t, z_hat):
 def feature_reg(x_t, x_adapted):
     """Batch mean of the unsquared L2 gap between the feature spaces."""
     x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
-    x_t = x_t.detach()
-    if x_t.shape != x_adapted.shape:
-        raise ValueError(
-            f"feature_reg: shapes differ, {x_t.shape} vs {x_adapted.shape}")
-    d = x_t - x_adapted
-    per_row = sqrt(mul(d, d).sum(axis=-1))
-    if per_row.ndim == 0:
-        return per_row
-    return per_row.mean()
+    return l2_distance(x_t.detach(), x_adapted)
 
 
 def lr_at(base_lr, milestones, gamma, epoch):
@@ -199,7 +190,7 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
 
     def step(batch):
         _, logits = net.forward(batch.labeled_x, train=True)
-        loss = cross_entropy(softmax(logits), batch.labeled_y)
+        loss = softmax_cross_entropy(logits, batch.labeled_y)
         return loss, (loss.item(), 0.0, 0.0)
 
     y = one_hot(dataset.labeled_y, dataset.params.classes)

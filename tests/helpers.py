@@ -8,10 +8,10 @@ central differences of the builder re-evaluated on perturbed copies.
 
 import numpy as np
 
-from kdlab.autograd import (Tensor, backward, batch_norm, cross_entropy, div,
-                            kl_alignment, linear, matmul, mse, mul, neg, relu,
-                            sigmoid, slice_rows, softmax, log, sqrt, sub,
-                            tensor_mean, tensor_sum)
+from kdlab.autograd import (Tensor, add, backward, batch_norm, cosine_loss, div,
+                            l2_distance, linear, log, logistic_loss, matmul, mse, mul,
+                            neg, relu, sigmoid, slice_rows, softmax, softmax_cross_entropy,
+                            sqrt, sub, tensor_mean, tensor_sum)
 
 EPS = 1e-6
 
@@ -125,26 +125,33 @@ def op_instance(name, rng):
         ws = rng.standard_normal((stop - start, m))
         return (lambda a: _mix(slice_rows(a, start, stop), ws)), \
             [rng.standard_normal((rows, m))]
-    if name == "cross_entropy":
+    if name == "softmax_cross_entropy":
         y = np.zeros((n, m))
         y[np.arange(n), rng.integers(0, m, n)] = 1.0
-        return (lambda z: cross_entropy(softmax(z), Tensor(y))), \
-            [rng.uniform(-3, 3, (n, m))]
-    if name == "kl_alignment":
+        return (lambda z: softmax_cross_entropy(z, y)), [rng.uniform(-3, 3, (n, m))]
+    if name == "soft_target_cross_entropy":
         t = rng.uniform(0.2, 1.0, (n, m))
         t /= t.sum(axis=1, keepdims=True)
-        return (lambda z: kl_alignment(Tensor(t), softmax(z))), \
-            [rng.uniform(-3, 3, (n, m))]
-    if name == "mse":
-        return (lambda a, b: mse(a, b)), \
+        return (lambda z: softmax_cross_entropy(z, t)), [rng.uniform(-3, 3, (n, m))]
+    if name in ("mse", "l2_distance"):
+        op = mse if name == "mse" else l2_distance
+        return (lambda a, b: op(a, b)), \
             [rng.standard_normal((n, m)), rng.standard_normal((n, m))]
+    if name == "cosine_loss":
+        b = rng.standard_normal((n, m))
+        return (lambda a: cosine_loss(a, b)), [rng.standard_normal((n, m))]
+    if name == "logistic_loss":
+        xp, xn = rng.standard_normal((n, m)), rng.standard_normal((k, m))
+        return (lambda w, c: logistic_loss(xp, xn, w, c)), \
+            [rng.standard_normal((m, 1)), rng.standard_normal(1)]
     raise ValueError(f"op_instance: unknown op {name!r}")
 
 
 CHECKED_OPS = ("add", "sub", "mul", "div", "neg", "matmul", "linear",
                "linear_relu", "batch_norm", "relu", "sigmoid", "log", "sqrt",
-               "softmax", "sum", "mean", "slice_rows", "cross_entropy",
-               "kl_alignment", "mse")
+               "softmax", "sum", "mean", "slice_rows", "softmax_cross_entropy",
+               "soft_target_cross_entropy", "mse", "l2_distance", "cosine_loss",
+               "logistic_loss")
 
 
 def sweep_ops(seed, instances_per_op):
@@ -156,3 +163,33 @@ def sweep_ops(seed, instances_per_op):
                 for _ in range(instances_per_op)]
         worst[name] = max(errs)
     return worst
+
+
+# The loss heads as they were composed from elementary ops before each
+# became one node; the fused ops must match them bit for bit.
+
+def composed_cross_entropy(z, target):
+    ll = tensor_sum(mul(Tensor(target), log(softmax(z))), axis=-1)
+    return neg(ll) if z.ndim == 1 else neg(tensor_mean(ll))
+
+
+def composed_row_distance(a, b, root=False):
+    d = sub(a, b)
+    per_row = tensor_sum(mul(d, d), axis=-1)
+    if root:
+        per_row = sqrt(per_row)
+    return per_row if a.ndim == 1 else tensor_mean(per_row)
+
+
+def composed_cosine_loss(a, b):
+    b = Tensor(b)
+    dot = tensor_sum(mul(a, b), axis=-1)
+    na = sqrt(tensor_sum(mul(a, a), axis=-1))
+    nb = sqrt(tensor_sum(mul(b, b), axis=-1))
+    return neg(tensor_mean(div(dot, add(mul(na, nb), 1e-12))))
+
+
+def composed_logistic_loss(x_pos, x_neg, w, b):
+    p_pos = sigmoid(add(matmul(Tensor(x_pos), w), b))
+    p_neg = sigmoid(add(matmul(Tensor(x_neg), w), b))
+    return neg(add(tensor_mean(log(p_pos)), tensor_mean(log(sub(1.0, p_neg)))))

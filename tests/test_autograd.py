@@ -4,12 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import CHECKED_OPS, gradcheck, op_instance, sweep_ops
+from helpers import (CHECKED_OPS, composed_cosine_loss, composed_cross_entropy,
+                     composed_logistic_loss, composed_row_distance, gradcheck,
+                     op_instance, sweep_ops)
 from kdlab.autograd import (LAST_BACKWARD_STATS, LOG_FLOOR, NumericError,
-                            ShapeError, Tensor, backward, cross_entropy, div,
-                            kl_alignment, log, matmul, mse, mul, no_grad, relu,
-                            sigmoid, slice_rows, softmax, softmax_values, sqrt,
-                            tensor_mean, tensor_sum)
+                            ShapeError, Tensor, backward, cosine_loss, cosine_rows,
+                            div, l2_distance, log, logistic_loss, matmul, mse, mul,
+                            no_grad, relu, sigmoid, slice_rows, softmax,
+                            softmax_cross_entropy, softmax_values, tensor_mean,
+                            tensor_sum)
 from kdlab.optim import Sgd
 
 
@@ -68,7 +71,7 @@ def test_cross_entropy_matches_mpmath():
         labels = rng.integers(0, k, n)
         y = np.zeros((n, k))
         y[np.arange(n), labels] = 1.0
-        got = cross_entropy(softmax(Tensor(z)), Tensor(y)).item()
+        got = softmax_cross_entropy(Tensor(z), y).item()
         ref = mpmath.mpf(0)
         for i in range(n):
             exps = [mpmath.e ** mpmath.mpf(v) for v in z[i]]
@@ -80,10 +83,10 @@ def test_log_floor_keeps_zero_probability_finite():
     out = log(Tensor(np.array([0.0, 1.0]))).values
     assert out[0] == np.log(LOG_FLOOR)
     assert out[1] == 0.0
-    # Cross-entropy against an impossible one-hot stays finite too.
-    p = Tensor(np.array([[1.0, 0.0]]))
-    y = Tensor(np.array([[0.0, 1.0]]))
-    assert np.isfinite(cross_entropy(p, y).item())
+    # Cross-entropy against a class whose probability underflows stays finite too.
+    z = Tensor(np.array([[0.0, -1000.0]]))
+    y = np.array([[0.0, 1.0]])
+    assert softmax_cross_entropy(z, y).item() == -np.log(LOG_FLOOR)
 
 
 def test_kl_alignment_equals_entropy_at_agreement():
@@ -91,7 +94,7 @@ def test_kl_alignment_equals_entropy_at_agreement():
     for _ in range(10):
         p = rng.uniform(0.1, 1.0, size=(3, 5))
         p /= p.sum(axis=1, keepdims=True)
-        got = kl_alignment(Tensor(p), Tensor(p)).item()
+        got = softmax_cross_entropy(Tensor(np.log(p)), p).item()
         ref = -(p * np.log(p)).sum(axis=1).mean()
         assert abs(got - ref) < 1e-12
 
@@ -101,6 +104,110 @@ def test_mse_sums_rows_then_averages():
     b = np.array([[0.0, 0.0], [1.0, 1.0]])
     # rows: 1+4=5 and 4+9=13, mean 9
     assert abs(mse(Tensor(a), Tensor(b)).item() - 9.0) < 1e-12
+
+
+def test_cosine_rows_value_and_loss_agree():
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    cos = cosine_rows(a, b)
+    ref = (a * b).sum(1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    assert np.max(np.abs(cos - ref)) < 1e-12
+    assert cosine_loss(Tensor(a), b).item() == -(cos.sum() * (1.0 / 6))
+
+
+# fused loss heads against the graphs they replace
+# ------------------------------------------------
+
+def _one_hot_rows(rng, n, k):
+    y = np.zeros((n, k))
+    y[np.arange(n), rng.integers(0, k, n)] = 1.0
+    return y
+
+
+def _soft_rows(rng, n, k):
+    t = rng.uniform(0.05, 1.0, (n, k))
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+def _head_case(name, rows, rng):
+    """(fused, composed, arrays, needs_grad) for one loss head.
+
+    Shapes are the standard preset's: 8 classes, 64 teacher features,
+    32 labeled and 64 unlabeled rows per step. ``rows`` of 0 asks for
+    single vectors where the op takes them.
+    """
+    def shape(k):
+        return (rows, k) if rows else (k,)
+
+    n = rows or 1
+    if name in ("ce", "kd", "floored"):
+        z = rng.standard_normal(shape(8)) * 3.0
+        target = _soft_rows(rng, n, 8) if name == "kd" else _one_hot_rows(rng, n, 8)
+        if name == "floored":
+            # the labeled class's probability underflows to zero and is floored
+            z[..., 0] = -1000.0
+            target = np.zeros_like(z)
+            target[..., 0] = 1.0
+        target = target.reshape(z.shape)
+        return (lambda tz: softmax_cross_entropy(tz, target),
+                lambda tz: composed_cross_entropy(tz, target), [z], [True])
+    if name in ("mse", "mse_both", "reg"):
+        k = 64 if name == "reg" else 8
+        a, b = rng.standard_normal(shape(k)), rng.standard_normal(shape(k))
+        if name == "reg":
+            return (lambda ta, tb: l2_distance(ta, tb),
+                    lambda ta, tb: composed_row_distance(ta, tb, root=True),
+                    [a, b], [False, True])
+        return (mse, composed_row_distance, [a, b], [name == "mse_both", True])
+    if name == "dac":
+        a, b = rng.standard_normal(shape(8)), rng.standard_normal(shape(8))
+        return (lambda ta: cosine_loss(ta, b),
+                lambda ta: composed_cosine_loss(ta, b), [a], [True])
+    if name == "detector":
+        xp, xn = rng.standard_normal((32, 64)) * 2.0, rng.standard_normal((32, 64)) * 2.0
+        w, b = rng.uniform(-0.125, 0.125, (64, 1)), rng.standard_normal(1)
+        return (lambda tw, tb: logistic_loss(xp, xn, tw, tb),
+                lambda tw, tb: composed_logistic_loss(xp, xn, tw, tb),
+                [w, b], [True, True])
+    raise ValueError(name)
+
+
+HEADS = ("ce", "kd", "floored", "mse", "mse_both", "reg", "dac", "detector")
+
+
+# The detector scores batches of feature rows only: no single-vector case.
+SHAPED_HEADS = [(name, rows) for name in HEADS for rows in (96, 0)
+                if (name, rows) != ("detector", 0)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37], ids=["root", "scaled"])
+@pytest.mark.parametrize("name, rows", SHAPED_HEADS,
+                         ids=[f"{n}-{'batch' if r else 'vector'}" for n, r in SHAPED_HEADS])
+def test_fused_loss_heads_match_the_composed_graph_bit_for_bit(name, rows, scale):
+    fused, composed, arrays, needs = _head_case(name, rows, np.random.default_rng(61))
+    runs = []
+    for build in (fused, composed):
+        inputs = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+        loss = build(*inputs)
+        # scale != 1: the loss sits inside a weighted sum, as in a stage-2 total
+        backward(loss if scale == 1.0 else Tensor(2.0) + scale * loss)
+        runs.append((loss.values, [t.grad for t in inputs]))
+    (value, grads), (ref_value, ref_grads) = runs
+    assert value.shape == ref_value.shape == ()
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("name", HEADS)
+def test_fused_loss_heads_record_one_node(name):
+    fused, _, arrays, needs = _head_case(name, 8, np.random.default_rng(67))
+    loss = fused(*[Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)])
+    assert loss.node.parents and len(loss.node.parents) <= 2
+    backward(loss)
+    assert LAST_BACKWARD_STATS["nodes"] == 1
 
 
 # gradient checks
@@ -192,7 +299,13 @@ def test_shape_errors_are_raised():
     with pytest.raises(ShapeError):
         mse(a, Tensor(np.ones((2, 4))))
     with pytest.raises(ShapeError):
-        cross_entropy(a, Tensor(np.ones((3, 3))))
+        softmax_cross_entropy(a, Tensor(np.ones((3, 3))))
+    with pytest.raises(ShapeError):
+        l2_distance(a, Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        cosine_loss(a, np.ones(3))
+    with pytest.raises(ShapeError):
+        mse(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2, 2))))
 
 
 def test_softmax_rejects_nonfinite_input():
@@ -201,6 +314,8 @@ def test_softmax_rejects_nonfinite_input():
         softmax(Tensor(np.array([1.0, np.nan])))
     with pytest.raises(NumericError):
         softmax(Tensor(np.array([[np.inf, 0.0]])))
+    with pytest.raises(NumericError):
+        softmax_cross_entropy(Tensor(np.array([[np.nan, 0.0]])), np.array([[1.0, 0.0]]))
     assert issubclass(NumericError, ValueError)
 
 

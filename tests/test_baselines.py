@@ -122,7 +122,7 @@ def test_pseudo_label_ties_resolve_to_the_lowest_class():
 def test_cosine_rows_oracle():
     a = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     b = np.array([[1.0, 0.0], [0.0, 3.0], [-1.0, -1.0]])
-    got = cosine_rows(Tensor(a), Tensor(b)).values
+    got = cosine_rows(a, b)
     assert np.max(np.abs(got - [1.0, 0.0, -1.0])) < 1e-9
 
 
@@ -306,6 +306,11 @@ def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):
     # the labeled rows once, then every step's fresh view of its pool rows
     assert len(forwards("srd+dac", 1)) == 1 + steps
     assert len(forwards("srd+dac", 3)) == 1 + 3 * steps
+    # teacher_score keeps the whole pool at fraction 1.0 without scoring it
+    whole = dict(selection_policy="teacher_score", unlabeled_fraction=1.0)
+    assert forwards("srd+dac", 1, **whole) == forwards("srd+dac", 1)
+    assert 40 not in forwards("srd+dac", 1, **whole)
+    assert 40 in forwards("srd+dac", 1, **half)
 
 
 def test_zero_epochs_return_the_initial_student():

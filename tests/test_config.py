@@ -143,8 +143,10 @@ def test_out_of_range_values_carry_their_line():
      "in an unlabeled pool of size 0"),
     ("[dataset]\nunlabeled_per_class = -3\n", 2,
      "[dataset] unlabeled_per_class: must be nonnegative"),
+    ("[dataset]\nseed = -2\n", 2, "[dataset] seed: must be nonnegative"),
+    ("[run]\nmode = srd\nseeds = 0,-1\n", 3, "[run] seeds: must be nonnegative"),
 ], ids=["teacher_epochs", "input_dim", "test_per_class", "overlap_vs_empty_pool",
-        "negative_pool"])
+        "negative_pool", "negative_dataset_seed", "negative_run_seed"])
 def test_dataset_and_run_errors_name_their_own_key_and_line(text, line, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from kdlab.autograd import (Tensor, backward, cross_entropy, matmul, no_grad,
-                            softmax, softmax_values)
+from helpers import composed_cross_entropy, composed_row_distance
+from kdlab.autograd import Tensor, backward, matmul, no_grad, softmax_values
 from kdlab.baselines import MODES, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
@@ -164,9 +164,9 @@ def test_empty_unlabeled_equals_the_hand_composed_srd_step():
         feats_t, z_t = teacher.forward(x)
     feats_s, logits_s = student.forward(x, train=True)
     x_a = adaptor(feats_s, train=True)
-    loss_b = (cross_entropy(softmax(logits_s), y)
-              + 1.0 * srd_loss("mse", Tensor(z_t.values), teacher.classifier(x_a))
-              + 1.0 * feature_reg(feats_t.values, x_a))
+    loss_b = (composed_cross_entropy(logits_s, y)
+              + 1.0 * composed_row_distance(Tensor(z_t.values), teacher.classifier(x_a))
+              + 1.0 * composed_row_distance(Tensor(feats_t.values), x_a, root=True))
     backward(loss_b)
 
     assert loss_a.item() == loss_b.item()

@@ -53,16 +53,20 @@ def _cfg(tmp_path, name="out", **updates):
                     cache_dir=str(tmp_path / "cache"), **updates)
 
 
-def _cli(args, cwd):
+def _python(args, cwd):
     # the child runs in cwd: put the tested kdlab first, every entry absolute
     root = os.path.dirname(os.path.dirname(os.path.abspath(kdlab.__file__)))
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     path = [root] + [os.path.abspath(p) for p in inherited if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-m", "kdlab", *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=str(cwd),
                           env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _cli(args, cwd):
+    return _python(["-m", "kdlab", *args], cwd)
 
 
 # the stage-1 cache
@@ -263,10 +267,20 @@ def test_cli_distill_and_exit_codes(tmp_path):
 
 def test_cli_rejects_config_errors_with_code_2(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[dataset]\nclasses = one\n")
-    code, out, err = _cli(["distill", "--config", str(bad)], cwd=tmp_path)
+    # negative seeds used to pass the parser and die in numpy with exit 1
+    for text in ("[dataset]\nclasses = one\n", "[run]\nseeds = -1\n",
+                 "[dataset]\nseed = -2\n"):
+        bad.write_text(text)
+        code, out, err = _cli(["distill", "--config", str(bad)], cwd=tmp_path)
+        assert code == 2, err
+        assert "line 2" in err
+
+
+def test_cli_compare_of_missing_run_directories_exits_2(tmp_path):
+    missing = str(tmp_path / "no" / "such")
+    code, out, err = _cli(["compare", missing, missing + "-b"], cwd=tmp_path)
     assert code == 2, err
-    assert "line 2" in err
+    assert missing in err and "resolved.cfg" in err
 
 
 def test_cli_reports_a_missed_floor_with_code_3(tmp_path):
@@ -299,6 +313,17 @@ def test_stage_one_divergence_names_the_trial_seed(tmp_path):
         get_teacher(cfg, generate(cfg.dataset), 1)
     assert (info.value.mode, info.value.seed, info.value.term) == ("pretrain", 1, "ce")
     assert str(info.value).startswith("pretrain seed 1 diverged at epoch ")
+
+
+def test_autograd_walkthrough_demo_runs(tmp_path):
+    """The demo calls the engine's public API; a change there must not break it unseen."""
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos", "autograd_walkthrough.py")
+    code, out, err = _python([demo], cwd=tmp_path)
+    assert code == 0, err
+    assert "cross-entropy loss" in out and "step 4: loss" in out
+    gap = float(out.split(" gap ")[1].split()[0])
+    assert gap < 1e-6
 
 
 def test_cli_generate_data_writes_the_dataset(tmp_path):

@@ -1,15 +1,19 @@
 """Network construction, forward composition, freezing, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import (composed_cosine_loss, composed_cross_entropy,
+                     composed_logistic_loss, composed_row_distance)
 from kdlab.autograd import (LAST_BACKWARD_STATS, ShapeError, Tensor, backward,
-                            batch_norm, cross_entropy, linear, matmul, mul,
-                            slice_rows, softmax, sqrt, tensor_sum)
-from kdlab.baselines import stage2_loss, teacher_outputs
+                            batch_norm, linear, matmul, mul, slice_rows, softmax,
+                            softmax_cross_entropy, softmax_values, sqrt, tensor_sum)
+from kdlab.baselines import OodDetector, stage2_loss, teacher_outputs
 from kdlab.config import ArchParams, parse_config
 from kdlab.data import one_hot
-from kdlab.distill import MODES, feature_reg, srd_loss
+from kdlab.distill import MODES
 from kdlab.models import (Adaptor, Affine, BatchNorm, CHECKPOINT_MAGIC,
                           Classifier, FeatureExtractor, Network, build_pair,
                           load_checkpoint, make_network, parameter_count,
@@ -396,42 +400,101 @@ def test_fused_teacher_step_matches_composed_graph():
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
 
     feats, logits = fused.forward(x, train=True)
-    backward(cross_entropy(softmax(logits), y))
+    backward(softmax_cross_entropy(logits, y))
     ref_feats = _composed_extractor(composed.extractor, Tensor(x))
     ref_logits = composed.classifier(ref_feats)
-    backward(cross_entropy(softmax(ref_logits), y))
+    backward(composed_cross_entropy(ref_logits, y))
 
     assert np.array_equal(feats.values, ref_feats.values)
     assert np.array_equal(logits.values, ref_logits.values)
     _assert_same_state(fused, composed)
 
 
-def test_fused_student_and_adaptor_step_matches_composed_graph():
-    """Preset student and adaptor at a 96-row batch under the srd objective."""
+def _assert_step_matches_composed_graph(mode, variant):
+    """Preset student and adaptor at a 96-row batch, every layer and loss
+    head composed from elementary ops in the reference."""
     cfg, (teacher, fused, fused_ad) = _preset_pair()
     _, (_, composed, composed_ad) = _preset_pair()
+    cfg = dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
     teacher.set_frozen(True)
     rng = np.random.default_rng(43)
     x = rng.standard_normal((96, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
+    view2 = rng.standard_normal((64, cfg.dataset.input_dim))
+    pseudo_y, pseudo_weight = rng.integers(0, cfg.dataset.classes, 64), 1.5
     feats_t, z_t = teacher_outputs(teacher, x)
+    terms = MODES[mode]
 
-    total, _ = stage2_loss(MODES["srd"], (teacher, fused, fused_ad), cfg, x, y,
-                           (feats_t, z_t))
+    total, _ = stage2_loss(terms, (teacher, fused, fused_ad), cfg, x, y, (feats_t, z_t),
+                           pseudo_y=pseudo_y, pseudo_weight=pseudo_weight, view2=view2)
     backward(total)
+
+    def composed_student(rows):
+        return composed.classifier(_composed_extractor(composed.extractor, Tensor(rows)))
 
     feats_s = _composed_extractor(composed.extractor, Tensor(x))
     logits_s = composed.classifier(feats_s)
-    ce = cross_entropy(softmax(slice_rows(logits_s, 0, 32)), y)
-    x_a = _composed_adaptor(composed_ad, feats_s)
-    srd = srd_loss(cfg.srd.variant, Tensor(z_t), teacher.classifier(x_a))
-    reg = feature_reg(feats_t, x_a)
-    ref_total = ce + cfg.srd.alpha * srd + cfg.srd.beta * reg
+    ce = composed_cross_entropy(slice_rows(logits_s, 0, 32), y)
+    ref_total = ce
+    if "srd" in terms:
+        x_a = _composed_adaptor(composed_ad, feats_s)
+        z_hat = teacher.classifier(x_a)
+        srd = {"mse": lambda: composed_row_distance(Tensor(z_t), z_hat),
+               "kl": lambda: composed_cross_entropy(z_hat, softmax_values(z_t)),
+               "pmse": lambda: composed_row_distance(Tensor(softmax_values(z_t)),
+                                                     softmax(z_hat))}[variant]()
+        reg = composed_row_distance(Tensor(feats_t), x_a, root=True)
+        ref_total = ref_total + cfg.srd.alpha * srd + cfg.srd.beta * reg
+    if "kd" in terms:
+        inv = 1.0 / cfg.srd.kd_temperature
+        kd = cfg.srd.kd_temperature ** 2 * composed_cross_entropy(
+            logits_s * inv, softmax_values(z_t * inv))
+        ref_total = ref_total + cfg.baselines.kd_weight * kd
+    if "pseudo" in terms:
+        ce_u = composed_cross_entropy(slice_rows(logits_s, 32, 96),
+                                      one_hot(pseudo_y, cfg.dataset.classes))
+        ref_total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
+    if "dac" in terms:
+        dac = composed_cosine_loss(composed_student(view2), z_t[32:])
+        ref_total = ref_total + cfg.baselines.dac_weight * dac
     backward(ref_total)
 
     assert total.item() == ref_total.item()
     _assert_same_state(fused, composed)
     _assert_same_state(fused_ad, composed_ad)
+
+
+def test_fused_student_and_adaptor_step_matches_composed_graph():
+    _assert_step_matches_composed_graph("srd", "mse")
+
+
+STEP_CASES = [("srd", "kl"), ("srd", "pmse"), ("srd+kd", "mse"), ("srd+dac", "mse"),
+              ("pseudo_label", "mse")]
+
+
+@pytest.mark.parametrize("mode, variant", STEP_CASES,
+                         ids=[f"{m}-{v}" for m, v in STEP_CASES])
+def test_every_stage2_term_matches_composed_graph(mode, variant):
+    _assert_step_matches_composed_graph(mode, variant)
+
+
+def test_fused_detector_step_matches_composed_graph():
+    """Preset detector step: 32 labeled positives, 32 of 64 pool rows negatives."""
+    cfg, (teacher, _, _) = _preset_pair()
+    teacher.set_frozen(True)
+    rng = np.random.default_rng(45)
+    feats_t, _ = teacher_outputs(teacher, rng.standard_normal((96, cfg.dataset.input_dim)))
+    neg_rows = rng.choice(64, size=32, replace=False)
+    pos, neg = feats_t[:32], feats_t[32:][neg_rows]
+    fused = OodDetector(cfg.teacher.feature_dim, np.random.default_rng(3))
+    composed = OodDetector(cfg.teacher.feature_dim, np.random.default_rng(3))
+    loss = fused.loss(pos, neg)
+    backward(loss)
+    ref = composed_logistic_loss(pos, neg, composed.weight, composed.bias)
+    backward(ref)
+    assert loss.item() == ref.item()
+    for p, q in zip(fused.parameters(), composed.parameters()):
+        assert np.array_equal(p.grad, q.grad)
 
 
 @pytest.mark.parametrize("x_grad", [False, True])
@@ -482,11 +545,15 @@ def test_fused_ops_record_one_node_each():
         linear(x, w, Tensor(np.ones(2)))
 
 
-# Graph nodes per backward at the preset shapes (28 and 59 when the layers
-# were composed from elementary ops). A layer that is built from
+# Graph nodes per backward at the preset shapes. Composed from elementary
+# ops, the layers made a teacher step 28 nodes and an srd step 59; fused
+# layers made them 13 and 33, with srd+dac at 52 and a detector step at 15.
+# Each loss head is one node now. A layer or loss head built from
 # elementary ops again instead of its fused node changes these.
-TEACHER_STEP_NODES = 13
-SRD_STEP_NODES = 33
+TEACHER_STEP_NODES = 7
+SRD_STEP_NODES = 18
+SRD_DAC_STEP_NODES = 27
+DETECTOR_STEP_NODES = 1
 
 
 def test_preset_steps_build_the_pinned_number_of_graph_nodes():
@@ -496,11 +563,21 @@ def test_preset_steps_build_the_pinned_number_of_graph_nodes():
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
 
     _, logits = teacher.forward(x[:32], train=True)
-    backward(cross_entropy(softmax(logits), y))
+    backward(softmax_cross_entropy(logits, y))
     assert LAST_BACKWARD_STATS["nodes"] == TEACHER_STEP_NODES
 
     teacher.set_frozen(True)
-    total, _ = stage2_loss(MODES["srd"], (teacher, student, adaptor), cfg, x, y,
-                           teacher_outputs(teacher, x))
+    out = teacher_outputs(teacher, x)
+    total, _ = stage2_loss(MODES["srd"], (teacher, student, adaptor), cfg, x, y, out)
     backward(total)
     assert LAST_BACKWARD_STATS["nodes"] == SRD_STEP_NODES
+
+    view2 = rng.standard_normal((64, cfg.dataset.input_dim))
+    total, _ = stage2_loss(MODES["srd+dac"], (teacher, student, adaptor), cfg, x, y, out,
+                           view2=view2)
+    backward(total)
+    assert LAST_BACKWARD_STATS["nodes"] == SRD_DAC_STEP_NODES
+
+    detector = OodDetector(cfg.teacher.feature_dim, rng)
+    backward(detector.loss(out[0][:32], out[0][32:64]))
+    assert LAST_BACKWARD_STATS["nodes"] == DETECTOR_STEP_NODES
