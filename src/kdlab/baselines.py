@@ -268,8 +268,6 @@ def train_with_mode(dataset, teacher, cfg, seed):
     if not teacher.frozen:
         raise ValueError("train_with_mode: teacher must be frozen")
     mode = cfg.run.mode
-    if mode not in MODES:
-        raise ValueError(f"train_with_mode: unknown mode {mode!r}")
     terms = MODES[mode]
     use_ood, use_dac = "ood" in terms, "dac" in terms
 

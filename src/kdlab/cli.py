@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, format_config, override, parse_config
-from .data import export_csv, generate, save_dataset
+from .config import POLICIES, ConfigError, override, parse_config
+from .data import SettingError, export_csv, generate, save_dataset
 from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher,
                       run, sweep, teacher_cache_key, write_compare_csv)
@@ -48,13 +48,13 @@ def _build_parser():
     p.add_argument("--mode", metavar="NAME", help="training mode override")
     p.add_argument("--fraction", type=float, metavar="F",
                    help="unlabeled fraction override")
-    p.add_argument("--policy", choices=("random", "teacher_score"),
+    p.add_argument("--policy", choices=POLICIES,
                    help="unlabeled selection policy override")
 
     p = sub.add_parser("sweep", help="train across unlabeled fractions")
     _add_common(p)
     p.add_argument("--mode", metavar="NAME")
-    p.add_argument("--policy", choices=("random", "teacher_score"))
+    p.add_argument("--policy", choices=POLICIES)
     p.add_argument("--fractions", metavar="LIST",
                    default=",".join(str(f) for f in SWEEP_FRACTIONS),
                    help="comma-separated fractions (default %(default)s)")
@@ -70,6 +70,11 @@ def _build_parser():
                    help="weights to load; defaults to the cached teacher")
     p.add_argument("--split", choices=("labeled", "test"), default="test")
     return parser
+
+
+# run field -> the flag that overrides it
+_FLAGS = {"seeds": "--seed", "out": "--out", "mode": "--mode",
+          "unlabeled_fraction": "--fraction", "selection_policy": "--policy"}
 
 
 def _load_cfg(args):
@@ -90,11 +95,10 @@ def _load_cfg(args):
         updates["unlabeled_fraction"] = args.fraction
     if getattr(args, "policy", None):
         updates["selection_policy"] = args.policy
-    if updates:
-        cfg = override(cfg, **updates)
-        # Round-trip through the echo so overrides get full validation.
-        cfg = parse_config(format_config(cfg))
-    return cfg
+    try:
+        return override(cfg, **updates)
+    except SettingError as exc:
+        raise ConfigError(f"{_FLAGS[exc.key]}: {exc.message}") from None
 
 
 def _cmd_generate_data(args):
@@ -145,7 +149,11 @@ def _cmd_sweep(args):
         raise ConfigError(f"--fractions: expected floats, got {args.fractions!r}") from None
     if not fractions:
         raise ConfigError("--fractions: needs at least one value")
-    rows, trend_ok = sweep(cfg, fractions)
+    try:
+        # sweep checks every fraction before it trains any
+        rows, trend_ok = sweep(cfg, fractions)
+    except SettingError as exc:
+        raise ConfigError(f"--fractions: {exc.message}") from None
     for r in rows:
         print(f"fraction {r['fraction']:.2f}: "
               f"top1 {100 * r['mean_top1']:.2f} ± {100 * r['std_top1']:.2f}")

@@ -4,7 +4,11 @@ The file format is line oriented: ``[section]`` headers group
 ``key = value`` pairs, blank lines and ``#`` comments are ignored.
 Unknown sections or keys, malformed values and out-of-range settings are
 rejected with the offending line number. An empty file is a complete,
-valid configuration (every key has a default).
+valid configuration: every key takes its value from ``DEFAULTS``.
+
+Each part of the configuration is a frozen dataclass that checks its own
+fields on construction, raising ``SettingError`` that names the field,
+so ``dataclasses.replace`` and ``override`` check what they set.
 
 ``format_config`` writes the fully resolved configuration back out in a
 fixed order; parsing that echo reproduces the identical configuration.
@@ -32,44 +36,90 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ArchParams:
+    """One network's shape; the teacher's and the student's defaults differ."""
+
     hidden: tuple
     feature_dim: int
     feature_norm: bool
 
+    def __post_init__(self):
+        if self.feature_dim < 1:
+            raise SettingError("feature_dim", "must be positive")
+        if any(h < 1 for h in self.hidden):
+            raise SettingError("hidden", "layer widths must be positive")
+
 
 @dataclasses.dataclass(frozen=True)
 class OptimParams:
-    lr: float
-    momentum: float
-    weight_decay: float
-    milestones: tuple
-    gamma: float
-    batch_size: int
-    unlabeled_batch_size: int
+    lr: float = 0.05
+    momentum: float = 0.9
+    weight_decay: float = 5e-4
+    milestones: tuple = (60, 78)
+    gamma: float = 0.1
+    batch_size: int = 32
+    unlabeled_batch_size: int = 64
+
+    def __post_init__(self):
+        if self.lr <= 0.0:
+            raise SettingError("lr", "must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise SettingError("momentum", "must lie in [0, 1)")
+        if self.weight_decay < 0.0:
+            raise SettingError("weight_decay", "must be nonnegative")
+        if not 0.0 < self.gamma <= 1.0:
+            raise SettingError("gamma", "must lie in (0, 1]")
+        if self.batch_size < 1:
+            raise SettingError("batch_size", "must be positive")
+        if self.unlabeled_batch_size < 0:
+            raise SettingError("unlabeled_batch_size", "must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
 class BaselineParams:
-    kd_weight: float
-    dac_weight: float
-    dac_strength: float
-    pseudo_weight: float
-    ood_threshold: float
-    detector_lr: float
+    kd_weight: float = 0.9
+    dac_weight: float = 1.0
+    dac_strength: float = 4.0
+    pseudo_weight: float = 1.0
+    ood_threshold: float = 0.5
+    detector_lr: float = 0.05
+
+    def __post_init__(self):
+        if self.detector_lr <= 0.0:
+            raise SettingError("detector_lr", "must be positive")
+        if not 0.0 <= self.ood_threshold <= 1.0:
+            raise SettingError("ood_threshold", "must lie in [0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)
 class RunParams:
-    mode: str
-    epochs: int
-    teacher_epochs: int
-    teacher_floor: float
-    seeds: tuple
-    use_unlabeled: bool
-    unlabeled_fraction: float
-    selection_policy: str
-    out: str
-    cache_dir: str
+    mode: str = "srd"
+    epochs: int = 90
+    teacher_epochs: int = 90
+    teacher_floor: float = 0.9
+    seeds: tuple = (0, 1, 2, 3, 4)
+    use_unlabeled: bool = True
+    unlabeled_fraction: float = 1.0
+    selection_policy: str = "random"
+    out: str = "runs/out"
+    cache_dir: str = "runs/teacher-cache"
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise SettingError("mode", f"must be one of {', '.join(MODES)}")
+        for key in ("epochs", "teacher_epochs"):
+            if getattr(self, key) < 0:
+                raise SettingError(key, "must be nonnegative")
+        if not 0.0 <= self.teacher_floor <= 1.0:
+            raise SettingError("teacher_floor", "must lie in [0, 1]")
+        if not self.seeds:
+            raise SettingError("seeds", "needs at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise SettingError("seeds", "must be nonnegative")
+        if not 0.0 < self.unlabeled_fraction <= 1.0:
+            raise SettingError("unlabeled_fraction",
+                               f"must lie in (0, 1], got {self.unlabeled_fraction}")
+        if self.selection_policy not in POLICIES:
+            raise SettingError("selection_policy", f"must be one of {', '.join(POLICIES)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,66 +133,26 @@ class ExperimentConfig:
     run: RunParams
 
 
-def _defaults(cls):
-    """Schema entries of a dataclass whose field defaults are the config defaults."""
-    return {f.name: (f.type, f.default) for f in dataclasses.fields(cls)}
+DEFAULTS = ExperimentConfig(
+    dataset=DatasetParams(),
+    teacher=ArchParams(hidden=(256, 256), feature_dim=64, feature_norm=True),
+    student=ArchParams(hidden=(32, 32), feature_dim=16, feature_norm=True),
+    optimizer=OptimParams(),
+    srd=SrdConfig(),
+    baselines=BaselineParams(),
+    run=RunParams(),
+)
 
+# ExperimentConfig field -> the config-file section its keys live in
+PARTS = {"dataset": "dataset", "teacher": "teacher", "student": "student",
+         "optimizer": "optimizer", "srd": "distill", "baselines": "distill",
+         "run": "run"}
 
-# section -> key -> (kind, default). kinds: int, float, bool, str, ints.
-SCHEMA = {
-    "dataset": _defaults(DatasetParams),
-    "teacher": {
-        "hidden": ("ints", (256, 256)),
-        "feature_dim": ("int", 64),
-        "feature_norm": ("bool", True),
-    },
-    "student": {
-        "hidden": ("ints", (32, 32)),
-        "feature_dim": ("int", 16),
-        "feature_norm": ("bool", True),
-    },
-    "optimizer": {
-        "lr": ("float", 0.05),
-        "momentum": ("float", 0.9),
-        "weight_decay": ("float", 5e-4),
-        "milestones": ("ints", (60, 78)),
-        "gamma": ("float", 0.1),
-        "batch_size": ("int", 32),
-        "unlabeled_batch_size": ("int", 64),
-    },
-    "distill": {
-        **_defaults(SrdConfig),
-        "kd_weight": ("float", 0.9),
-        "dac_weight": ("float", 1.0),
-        "dac_strength": ("float", 4.0),
-        "pseudo_weight": ("float", 1.0),
-        "ood_threshold": ("float", 0.5),
-        "detector_lr": ("float", 0.05),
-    },
-    "run": {
-        "mode": ("str", "srd"),
-        "epochs": ("int", 90),
-        "teacher_epochs": ("int", 90),
-        "teacher_floor": ("float", 0.9),
-        "seeds": ("ints", (0, 1, 2, 3, 4)),
-        "use_unlabeled": ("bool", True),
-        "unlabeled_fraction": ("float", 1.0),
-        "selection_policy": ("str", "random"),
-        "out": ("str", "runs/out"),
-        "cache_dir": ("str", "runs/teacher-cache"),
-    },
-}
-
-# ExperimentConfig field -> (the section its keys come from, the dataclass built)
-PARTS = {
-    "dataset": ("dataset", DatasetParams),
-    "teacher": ("teacher", ArchParams),
-    "student": ("student", ArchParams),
-    "optimizer": ("optimizer", OptimParams),
-    "srd": ("distill", SrdConfig),
-    "baselines": ("distill", BaselineParams),
-    "run": ("run", RunParams),
-}
+# section -> key -> kind (int, float, bool, str, ints), from the field annotations
+SCHEMA = {section: {f.name: {"tuple": "ints"}.get(f.type, f.type)
+                    for part, sec in PARTS.items() if sec == section
+                    for f in dataclasses.fields(getattr(DEFAULTS, part))}
+          for section in dict.fromkeys(PARTS.values())}
 
 
 def _convert(raw, kind, section, key, line):
@@ -164,8 +174,12 @@ def _convert(raw, kind, section, key, line):
 
 
 def parse_config(text):
-    """Parse configuration text into an ``ExperimentConfig``."""
-    entries = {}
+    """Parse configuration text into an ``ExperimentConfig``.
+
+    Each part starts from ``DEFAULTS`` and takes the keys the text sets;
+    a value its part rejects is reported at the line that set it.
+    """
+    values, lines = {}, {}
     section = None
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
@@ -184,77 +198,29 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", line_no)
-        if (section, key) in entries:
+        if (section, key) in values:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", line_no)
-        entries[(section, key)] = (value, line_no)
+        values[(section, key)] = _convert(value, SCHEMA[section][key], section, key, line_no)
+        lines[(section, key)] = line_no
 
-    values, lines = {}, {}
-    for sec, keys in SCHEMA.items():
-        for key, (kind, default) in keys.items():
-            raw, line_no = entries.get((sec, key), (None, 0))
-            values[(sec, key)] = default if raw is None else _convert(raw, kind, sec, key, line_no)
-            lines[(sec, key)] = line_no
-    return _validated(values, lines)
-
-
-def _validated(values, lines):
-    """Build the configuration, mapping every out-of-range value to its line.
-
-    ``DatasetParams`` and ``SrdConfig`` check their own fields and name the
-    one at fault; the settings only the experiment reads are checked here.
-    """
     def bad(section, key, message):
-        raise ConfigError(f"[{section}] {key}: {message}", lines[(section, key)])
+        raise ConfigError(f"[{section}] {key}: {message}", lines.get((section, key), 0))
 
     parts = {}
-    for field, (section, cls) in PARTS.items():
+    for part, section in PARTS.items():
+        default = getattr(DEFAULTS, part)
+        given = {f.name: values[(section, f.name)] for f in dataclasses.fields(default)
+                 if (section, f.name) in values}
         try:
-            parts[field] = cls(**{f.name: values[(section, f.name)]
-                                  for f in dataclasses.fields(cls)})
+            parts[part] = dataclasses.replace(default, **given)
         except SettingError as exc:
             bad(section, exc.key, exc.message)
     cfg = ExperimentConfig(**parts)
 
-    d, o, r = cfg.dataset, cfg.optimizer, cfg.run
-    for name, arch in (("teacher", cfg.teacher), ("student", cfg.student)):
-        if arch.feature_dim < 1:
-            bad(name, "feature_dim", "must be positive")
-        if any(h < 1 for h in arch.hidden):
-            bad(name, "hidden", "layer widths must be positive")
+    d = cfg.dataset
     if parameter_count(d.input_dim, cfg.teacher, d.classes) < \
             parameter_count(d.input_dim, cfg.student, d.classes):
         bad("student", "hidden", "student capacity exceeds teacher capacity")
-    if o.lr <= 0.0:
-        bad("optimizer", "lr", "must be positive")
-    if not 0.0 <= o.momentum < 1.0:
-        bad("optimizer", "momentum", "must lie in [0, 1)")
-    if o.weight_decay < 0.0:
-        bad("optimizer", "weight_decay", "must be nonnegative")
-    if not 0.0 < o.gamma <= 1.0:
-        bad("optimizer", "gamma", "must lie in (0, 1]")
-    if o.batch_size < 1:
-        bad("optimizer", "batch_size", "must be positive")
-    if o.unlabeled_batch_size < 0:
-        bad("optimizer", "unlabeled_batch_size", "must be nonnegative")
-    if cfg.baselines.detector_lr <= 0.0:
-        bad("distill", "detector_lr", "must be positive")
-    if not 0.0 <= cfg.baselines.ood_threshold <= 1.0:
-        bad("distill", "ood_threshold", "must lie in [0, 1]")
-    if r.mode not in MODES:
-        bad("run", "mode", f"must be one of {', '.join(MODES)}")
-    for key in ("epochs", "teacher_epochs"):
-        if getattr(r, key) < 0:
-            bad("run", key, "must be nonnegative")
-    if not 0.0 <= r.teacher_floor <= 1.0:
-        bad("run", "teacher_floor", "must lie in [0, 1]")
-    if not r.seeds:
-        bad("run", "seeds", "needs at least one seed")
-    if any(seed < 0 for seed in r.seeds):
-        bad("run", "seeds", "must be nonnegative")
-    if not 0.0 < r.unlabeled_fraction <= 1.0:
-        bad("run", "unlabeled_fraction", f"must lie in (0, 1], got {r.unlabeled_fraction}")
-    if r.selection_policy not in POLICIES:
-        bad("run", "selection_policy", f"must be one of {', '.join(POLICIES)}")
     return cfg
 
 
@@ -273,8 +239,8 @@ def format_config(cfg):
     out = ["# resolved configuration (init: fan-in scaled uniform)"]
     for section, keys in SCHEMA.items():
         out.append(f"[{section}]")
-        holders = [getattr(cfg, f) for f, (sec, _) in PARTS.items() if sec == section]
-        for key, (kind, _) in keys.items():
+        holders = [getattr(cfg, part) for part, sec in PARTS.items() if sec == section]
+        for key, kind in keys.items():
             holder = next(h for h in holders if hasattr(h, key))
             out.append(f"{key} = {_format_value(getattr(holder, key), kind)}")
         out.append("")
@@ -287,10 +253,12 @@ def load_config(path):
 
 
 def override(cfg, **updates):
-    """Functional updates on the frozen config tree.
+    """Functional update of run-level fields on the frozen config tree.
 
     Accepts ``seeds``, ``mode``, ``out``, ``unlabeled_fraction``,
-    ``selection_policy``, ``use_unlabeled`` and other run-level fields.
+    ``selection_policy``, ``use_unlabeled`` and the other ``RunParams``
+    fields. The new values are checked like parsed ones: a value out of
+    range raises ``SettingError`` naming its field.
     """
     run = dataclasses.replace(cfg.run, **updates)
     return dataclasses.replace(cfg, run=run)

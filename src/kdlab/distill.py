@@ -71,7 +71,7 @@ class DivergenceError(RuntimeError):
             f"{term} term: {detail}; a lower learning rate may help")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SrdConfig:
     """Distillation settings: variant, term weights, baseline temperature.
 

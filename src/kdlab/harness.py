@@ -28,7 +28,8 @@ from .metrics import (fmt, summary_stats, write_csv, write_metrics_csv,
                       write_usage_csv, write_usage_curve_csv)
 from .models import build_pair, load_checkpoint, save_checkpoint
 
-SUMMARY_HEADER = "run,mode,seed,top1,top5,mimicry_kl"
+SUMMARY_COLUMNS = ("run", "mode", "seed", "top1", "top5", "mimicry_kl")
+SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
 
 
 def teacher_cache_key(cfg, seed):
@@ -89,21 +90,24 @@ def run(cfg):
                          "mimicry_kl": result.mimicry})
 
     mode = cfg.run.mode
-    mean1, std1 = summary_stats([r["top1"] for r in per_seed])
-    mean5, std5 = summary_stats([r["top5"] for r in per_seed])
-    meank, stdk = summary_stats([r["mimicry_kl"] for r in per_seed])
-    with atomic_open(os.path.join(out, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for r in per_seed:
-            fh.write(f"{mode}-seed{r['seed']},{mode},{r['seed']},"
-                     f"{fmt(r['top1'])},{fmt(r['top5'])},{fmt(r['mimicry_kl'])}\n")
-        fh.write(f"{mode},{mode},mean,{fmt(mean1)},{fmt(mean5)},{fmt(meank)}\n")
-        fh.write(f"{mode},{mode},std,{fmt(std1)},{fmt(std5)},{fmt(stdk)}\n")
+    stats = _aggregates(per_seed)
+    rows = [{"run": f"{mode}-seed{r['seed']}", "mode": mode, **r} for r in per_seed]
+    rows += [{"run": mode, "mode": mode, "seed": name,
+              **{metric: pair[i] for metric, pair in stats.items()}}
+             for i, name in enumerate(("mean", "std"))]
+    write_csv(os.path.join(out, "summary.csv"), SUMMARY_COLUMNS, rows)
 
+    (mean1, std1), (mean5, std5), (meank, stdk) = stats.values()
     return {"out": out, "mode": mode, "per_seed": per_seed,
             "mean_top1": mean1, "std_top1": std1,
             "mean_top5": mean5, "std_top5": std5,
             "mean_mimicry": meank, "std_mimicry": stdk}
+
+
+def _aggregates(rows):
+    """(mean, std) of each summary metric over per-seed rows."""
+    return {metric: summary_stats([r[metric] for r in rows])
+            for metric in SUMMARY_COLUMNS[3:]}
 
 
 def read_summary(run_dir):
@@ -148,9 +152,7 @@ def compare(run_dirs):
                 f"(seed {cfg.dataset.seed} vs {reference.seed})")
     table = []
     for d, cfg, rows in loaded:
-        m1, s1 = summary_stats([r["top1"] for r in rows])
-        m5, s5 = summary_stats([r["top5"] for r in rows])
-        mk, sk = summary_stats([r["mimicry_kl"] for r in rows])
+        (m1, s1), (m5, s5), (mk, sk) = _aggregates(rows).values()
         table.append({"dir": d, "mode": cfg.run.mode, "seeds": len(rows),
                       "top1_mean": m1, "top1_std": s1,
                       "top5_mean": m5, "top5_std": s5,
@@ -188,11 +190,13 @@ def sweep(cfg, fractions=SWEEP_FRACTIONS):
     ``sweep.csv`` plus a trend report. Returns (rows, trend_ok).
     """
     out = cfg.run.out
+    # every fraction's config is checked before any of them trains
+    subs = [override(cfg, unlabeled_fraction=float(fraction),
+                     out=os.path.join(out, f"fraction_{int(round(100 * fraction))}"))
+            for fraction in fractions]
     os.makedirs(out, exist_ok=True)
     rows = []
-    for fraction in fractions:
-        sub = override(cfg, unlabeled_fraction=float(fraction),
-                       out=os.path.join(out, f"fraction_{int(round(100 * fraction))}"))
+    for fraction, sub in zip(fractions, subs):
         summary = run(sub)
         rows.append({"fraction": float(fraction),
                      "mean_top1": summary["mean_top1"],

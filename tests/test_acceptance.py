@@ -10,6 +10,7 @@ them on passing runs too.
 
 import dataclasses
 import os
+import shutil
 import tempfile
 import time
 
@@ -30,20 +31,32 @@ from kdlab.optim import Sgd
 pytestmark = pytest.mark.acceptance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORK = tempfile.mkdtemp(prefix="kdlab-acceptance-")
+WORK = None  # the run tree, made by _work_tree once a criterion runs
 
 _datasets = {}
 _trials = {}
 _elapsed = {}
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _work_tree():
+    """Teacher cache and run directories, removed when the criteria are done."""
+    global WORK
+    WORK = tempfile.mkdtemp(prefix="kdlab-acceptance-")
+    yield
+    shutil.rmtree(WORK)
+
+
+def _load(name):
+    return load_config(os.path.join(ROOT, "presets", f"{name}.cfg"))
+
+
 def _preset(name):
-    cfg = load_config(os.path.join(ROOT, "presets", f"{name}.cfg"))
-    return override(cfg, cache_dir=os.path.join(WORK, "teacher-cache"),
+    return override(_load(name), cache_dir=os.path.join(WORK, "teacher-cache"),
                     out=os.path.join(WORK, name))
 
 
-SEEDS = _preset("standard").run.seeds
+SEEDS = _load("standard").run.seeds
 
 
 def _dataset(cfg):

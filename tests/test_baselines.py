@@ -11,7 +11,8 @@ from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
                              ood_filter, pseudo_label, stage2_loss,
                              teacher_outputs, train_with_mode)
 from kdlab.config import override, parse_config
-from kdlab.data import BatchSampler, augment, generate, one_hot, select_unlabeled
+from kdlab.data import (BatchSampler, SettingError, augment, generate, one_hot,
+                        select_unlabeled)
 from kdlab.distill import DivergenceError, pretrain_teacher
 from kdlab.metrics import roc_auc
 from kdlab.models import Network, build_pair, make_network
@@ -447,8 +448,10 @@ def test_training_replays_bit_for_bit():
 
 def test_engine_rejects_bad_inputs():
     cfg, ds, teacher = _setup()
-    with pytest.raises(ValueError):
-        train_with_mode(ds, teacher, override(cfg, mode="alchemy"), 0)
+    # an unknown mode is refused where it is set, before any trial starts
+    with pytest.raises(SettingError) as err:
+        override(cfg, mode="alchemy")
+    assert err.value.key == "mode"
     fresh, _, _ = build_pair(cfg, 0)
     with pytest.raises(ValueError):
         train_with_mode(ds, fresh, cfg, 0)

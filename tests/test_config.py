@@ -1,11 +1,17 @@
 """Configuration parsing, validation messages, echo round trip."""
 
 import dataclasses
+import hashlib
+import os
 
-import numpy as np
 import pytest
 
-from kdlab.config import (ConfigError, format_config, override, parse_config)
+from kdlab.config import DEFAULTS, ConfigError, format_config, override, parse_config
+from kdlab.data import SettingError
+from kdlab.harness import teacher_cache_key
+
+PRESETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "presets")
 
 
 def _line_of(err):
@@ -28,6 +34,7 @@ def test_empty_text_is_the_default_configuration():
     assert cfg.run.seeds == (0, 1, 2, 3, 4)
     assert cfg.run.epochs == 90
     assert cfg.run.teacher_floor == 0.9
+    assert cfg == DEFAULTS
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -63,6 +70,61 @@ def test_override_touches_only_run_fields():
     assert out.dataset == cfg.dataset
     assert out.optimizer == cfg.optimizer
     assert cfg.run.mode == "srd"
+
+
+@pytest.mark.parametrize("updates, key, message", [
+    ({"seeds": (0, -1)}, "seeds", "must be nonnegative"),
+    ({"seeds": ()}, "seeds", "needs at least one seed"),
+    ({"mode": "wizardry"}, "mode", "must be one of "),
+    ({"selection_policy": "oracle"}, "selection_policy", "must be one of random, teacher_score"),
+    ({"epochs": -1}, "epochs", "must be nonnegative"),
+    ({"teacher_floor": 2.0}, "teacher_floor", "must lie in [0, 1]"),
+    ({"unlabeled_fraction": 1.5}, "unlabeled_fraction", "must lie in (0, 1], got 1.5"),
+], ids=["negative_seed", "no_seed", "mode", "policy", "epochs", "teacher_floor",
+        "fraction"])
+def test_override_checks_what_it_sets(updates, key, message):
+    with pytest.raises(SettingError) as err:
+        override(parse_config(""), **updates)
+    assert err.value.key == key
+    assert err.value.message.startswith(message)
+
+
+@pytest.mark.parametrize("part, key, value", [
+    ("teacher", "feature_dim", 0),
+    ("student", "hidden", (8, 0)),
+    ("optimizer", "lr", 0.0),
+    ("optimizer", "unlabeled_batch_size", -1),
+    ("baselines", "detector_lr", 0.0),
+    ("baselines", "ood_threshold", 1.5),
+])
+def test_every_part_checks_its_own_fields(part, key, value):
+    with pytest.raises(SettingError) as err:
+        dataclasses.replace(getattr(DEFAULTS, part), **{key: value})
+    assert err.value.key == key
+
+
+# resolved.cfg sha256[:16], teacher cache key at seed 0, at seed 3
+PINNED = {
+    "far": ("3bdc141f3f7929fd", "fa427caecfb3dcbc", "f9ddda0ce1e4dc96"),
+    "near": ("984228063f0f3b50", "f9c5722fbd549df1", "d63844bdaa78c7c1"),
+    "openset": ("62e3f4eb4fee145d", "6c2c4bd81e4573d5", "12ebf1dbd7a56fe0"),
+    "standard": ("2f8827388adc1cdb", "3982db96821bd658", "6670b9f6a2b7996e"),
+    "empty": ("91d3ffeb4d1d64bd", "3982db96821bd658", "6670b9f6a2b7996e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    [f[:-len(".cfg")] for f in os.listdir(PRESETS) if f.endswith(".cfg")]) + ["empty"])
+def test_presets_keep_their_echo_and_teacher_cache_keys(name):
+    """A renamed or reordered field would change these and orphan every cached teacher."""
+    assert name in PINNED, f"pin the digests of presets/{name}.cfg"
+    text = ""
+    if name != "empty":
+        with open(os.path.join(PRESETS, f"{name}.cfg")) as fh:
+            text = fh.read()
+    cfg = parse_config(text)
+    echo = hashlib.sha256(format_config(cfg).encode()).hexdigest()[:16]
+    assert (echo, teacher_cache_key(cfg, 0), teacher_cache_key(cfg, 3)) == PINNED[name]
 
 
 # rejection with line numbers
@@ -188,5 +250,8 @@ def test_configs_are_frozen_values():
     cfg = parse_config("")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.dataset.classes = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.srd.alpha = 2.0
     assert cfg == parse_config("")
     assert hash(cfg.dataset) == hash(parse_config("").dataset)
+    assert hash(cfg) == hash(parse_config(""))

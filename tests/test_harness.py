@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kdlab
-from kdlab import harness, metrics
+from kdlab import metrics
 from kdlab.config import override, parse_config
 from kdlab.data import generate
 from kdlab.distill import DivergenceError
@@ -156,20 +156,23 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 def test_summary_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch):
     # The summary, then the first metrics CSV, fails after its header and
-    # first cells are written; the files written before it stay.
-    for module, failed, written in ((harness, "summary", "metrics_seed1.csv"),
-                                    (metrics, "metrics_seed0", "resolved.cfg")):
+    # first cells are written; the files written before it stay. Only the
+    # summary has string cells, so counting those reaches it.
+    real_fmt = metrics.fmt
+    for failed, written, counted in (("summary", "metrics_seed1.csv", str),
+                                     ("metrics_seed0", "resolved.cfg", object)):
         calls = []
 
         def failing_fmt(value):
-            calls.append(value)
+            if isinstance(value, counted):
+                calls.append(value)
             if len(calls) > 3:
                 raise OSError("disk full")
-            return f"{value:.6g}"
+            return real_fmt(value)
 
         out = f"out-{failed}"
         with monkeypatch.context() as m:
-            m.setattr(module, "fmt", failing_fmt)
+            m.setattr(metrics, "fmt", failing_fmt)
             with pytest.raises(OSError, match="disk full"):
                 run(_cfg(tmp_path, out))
         names = os.listdir(tmp_path / out)
@@ -274,6 +277,30 @@ def test_cli_rejects_config_errors_with_code_2(tmp_path):
         code, out, err = _cli(["distill", "--config", str(bad)], cwd=tmp_path)
         assert code == 2, err
         assert "line 2" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "config error: --seed: must be nonnegative"),
+    (["--fraction", "1.5"], "config error: --fraction: must lie in (0, 1], got 1.5"),
+    (["--mode", "wizardry"], "config error: --mode: must be one of "),
+], ids=["seed", "fraction", "mode"])
+def test_cli_flag_errors_name_the_flag(tmp_path, flags, message):
+    code, out, err = _cli(["distill", *flags], cwd=tmp_path)
+    assert code == 2, err
+    assert err.startswith(message)
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_sweep_checks_every_fraction_before_training(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY)
+    code, out, err = _cli(["sweep", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "sweep"),
+                           "--fractions", "0.5,1.5"], cwd=tmp_path)
+    assert code == 2, err
+    assert err.startswith("config error: --fractions: must lie in (0, 1], got 1.5")
+    # no teacher was cached and no fraction ran
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 def test_cli_compare_of_missing_run_directories_exits_2(tmp_path):
