@@ -22,14 +22,13 @@ from .baselines import (MODES, OodDetector, RunResult, cosine_rows, kd_loss,
 from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,
                      OptimParams, RunParams, format_config, load_config,
                      override, parse_config)
-from .data import (BatchSampler, DatasetParams, OpenSetDataset, StepBatch,
-                   UnlabeledPool, augment, generate, load_dataset, one_hot,
-                   save_dataset, select_unlabeled)
+from .data import (BatchSampler, DatasetParams, OpenSetDataset, UnlabeledPool, augment,
+                   generate, load_dataset, one_hot, save_dataset, select_unlabeled)
 from .distill import (AccuracyFloorError, DivergenceError, SrdConfig, feature_reg,
-                      pretrain_teacher, srd_kl, srd_loss, srd_mse, srd_pmse)
+                      pretrain_teacher, srd_loss)
 from .harness import compare, get_teacher, run, sweep, teacher_cache_key
-from .metrics import (MetricsRecord, entropy, evaluate_accuracy, feature_dump,
-                      mimicry_kl, roc_auc, top_k_accuracy, usage_curve)
+from .metrics import (MetricsRecord, evaluate_accuracy, feature_dump, mimicry_kl,
+                      roc_auc, top_k_accuracy, usage_curve)
 from .models import (Adaptor, Affine, BatchNorm, Classifier, FeatureExtractor,
                      Network, build_pair, load_checkpoint, make_network,
                      save_checkpoint)

@@ -96,9 +96,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 

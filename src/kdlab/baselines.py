@@ -172,7 +172,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
             term = "srd"
             x_a = adaptor(feats_s, train=True)
             z_hat = teacher.classifier(x_a)
-            srd = srd_loss(cfg.srd.variant, Tensor(z_t), z_hat)
+            srd = srd_loss(cfg.srd.variant, z_t, z_hat)
             reg = feature_reg(feats_t, x_a)
             total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
             srd_term, reg_term = srd.item(), reg.item()
@@ -233,19 +233,20 @@ def _trial_setup(dataset, teacher, cfg, terms, select_seed):
     return pool, labeled_out, pool_out, pseudo_y, pseudo_weight
 
 
-def _ood_step(detector, det_opt, det_rng, feats_t, n_l, ind_flags, usage):
+def _ood_step(detector, det_opt, det_rng, feats_l, feats_u, ind_flags, usage):
     """Filter one step's unlabeled rows; returns the indices of those kept.
 
-    Then updates the detector: labeled rows are the positives, a uniform
-    subset of the incoming unlabeled rows the negatives. ``usage`` adds up
-    the kept/dropped counts against the hidden in-distribution flags.
+    Then updates the detector on the teacher features: the labeled rows
+    ``feats_l`` are the positives, a uniform subset of the incoming
+    unlabeled rows ``feats_u`` the negatives. ``usage`` adds up the
+    kept/dropped counts against the hidden in-distribution flags.
     """
-    kept, stats = ood_filter(detector, feats_t[n_l:], ind_flags)
+    kept, stats = ood_filter(detector, feats_u, ind_flags)
     for key in usage:
         usage[key] += stats[key]
-    n_u = len(feats_t) - n_l
+    n_l, n_u = len(feats_l), len(feats_u)
     neg_rows = det_rng.choice(n_u, size=min(n_l, n_u), replace=False)
-    backward(detector.loss(feats_t[:n_l], feats_t[n_l:][neg_rows]))
+    backward(detector.loss(feats_l, feats_u[neg_rows]))
     det_opt.step()
     return np.flatnonzero(kept)
 
@@ -285,31 +286,30 @@ def train_with_mode(dataset, teacher, cfg, seed):
         dataset, teacher, cfg, terms, select_seed)
     pool_ind = pool.eval_view()[1] if pool is not None else None
     counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
+    x_l = dataset.labeled_x
+    y_l = one_hot(dataset.labeled_y, dataset.params.classes)
 
-    def step(batch):
-        n_l = len(batch.labeled_x)
-        x_u, u_idx = batch.unlabeled_x, batch.unlabeled_idx
+    def step(rows, u_idx):
+        if use_ood and len(u_idx):
+            keep = _ood_step(detector, det_opt, det_rng, labeled_out[0][rows],
+                             pool_out[0][u_idx], pool_ind[u_idx], counts)
+            u_idx = u_idx[keep]
+        x_u = pool.inputs[u_idx] if len(u_idx) else None
         view2 = None
-        if use_dac and len(x_u):
+        if use_dac and x_u is not None:
             view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
             view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
             x_u = view1
         teacher_out = None
         if labeled_out is not None:
-            parts = [[out[batch.labeled_idx] for out in labeled_out]]
+            parts = [[out[rows] for out in labeled_out]]
             if view2 is not None:
                 parts.append(teacher_outputs(teacher, x_u))
-            elif len(x_u):
+            elif x_u is not None:
                 parts.append([out[u_idx] for out in pool_out])
             teacher_out = [np.concatenate(group) for group in zip(*parts)]
-        if use_ood and len(x_u):
-            keep = _ood_step(detector, det_opt, det_rng, teacher_out[0], n_l,
-                             pool_ind[u_idx], counts)
-            x_u, u_idx = x_u[keep], u_idx[keep]
-            teacher_out = [np.concatenate([out[:n_l], out[n_l:][keep]])
-                           for out in teacher_out]
-        x_all = np.concatenate([batch.labeled_x, x_u]) if len(x_u) else batch.labeled_x
-        return stage2_loss(terms, nets, cfg, x_all, batch.labeled_y, teacher_out,
+        x = x_l[rows] if x_u is None else np.concatenate([x_l[rows], x_u])
+        return stage2_loss(terms, nets, cfg, x, y_l[rows], teacher_out,
                            pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
                            pseudo_weight=pseudo_weight, view2=view2)
 
@@ -318,10 +318,8 @@ def train_with_mode(dataset, teacher, cfg, seed):
         params += adaptor.parameters()
     records, usage = [], []
     run_id = f"{mode}-seed{seed}"
-    for epoch, means in train_epochs(
-            mode, seed, params, cfg.optimizer, cfg.run.epochs, dataset.labeled_x,
-            one_hot(dataset.labeled_y, dataset.params.classes), step,
-            pool_x=None if pool is None else pool.inputs):
+    for epoch, means in train_epochs(mode, seed, params, cfg.optimizer, cfg.run.epochs,
+                                     len(x_l), step, n_pool=0 if pool is None else len(pool)):
         records.append(_epoch_record(run_id, mode, seed, epoch, means, student, dataset))
         if use_ood:
             usage.append({"epoch": epoch, **counts})

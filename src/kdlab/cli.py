@@ -17,7 +17,7 @@ from .config import POLICIES, ConfigError, override, parse_config
 from .data import SettingError, export_csv, generate, save_dataset
 from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher,
-                      run, sweep, teacher_cache_key, write_compare_csv)
+                      run, sweep, teacher_path, write_compare_csv)
 from .metrics import evaluate_accuracy, feature_dump
 from .models import build_pair, load_checkpoint
 
@@ -124,9 +124,7 @@ def _cmd_pretrain(args):
     for seed in cfg.run.seeds:
         teacher = get_teacher(cfg, ds, seed)
         acc = evaluate_accuracy(teacher, ds.test_x, ds.test_y)
-        path = os.path.join(cfg.run.cache_dir,
-                            f"teacher-{teacher_cache_key(cfg, seed)}.ckpt")
-        print(f"teacher seed {seed}: {path} (held-out acc {acc:.4f})")
+        print(f"teacher seed {seed}: {teacher_path(cfg, seed)} (held-out acc {acc:.4f})")
     return 0
 
 
@@ -162,11 +160,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_compare(args):
-    for d in args.dirs:
-        for name in ("resolved.cfg", "summary.csv"):
-            if not os.path.isfile(os.path.join(d, name)):
-                raise ConfigError(f"compare: {d} is not a finished run directory "
-                                  f"(no {name})")
     table = compare(args.dirs)
     print(compare_markdown(table))
     if args.out:

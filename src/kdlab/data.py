@@ -256,23 +256,6 @@ def select_unlabeled(pool: UnlabeledPool, fraction, policy, logits=None, seed=0)
     raise ValueError(f"select_unlabeled: unknown policy {policy!r}")
 
 
-@dataclasses.dataclass
-class StepBatch:
-    """One optimization step's worth of data.
-
-    ``labeled_idx`` indexes the labeled rows drawn and ``unlabeled_idx``
-    the selected pool, so per-row outputs computed once per trial can be
-    gathered and usage reporting can recover hidden flags; training code
-    must touch only the inputs.
-    """
-
-    labeled_x: np.ndarray
-    labeled_y: np.ndarray
-    labeled_idx: np.ndarray
-    unlabeled_x: np.ndarray
-    unlabeled_idx: np.ndarray
-
-
 class BatchSampler:
     """Epoch-wise batch stream over a labeled pool and an unlabeled pool.
 
@@ -293,34 +276,24 @@ class BatchSampler:
     def epoch_length(self, labeled_count):
         return int(np.ceil(labeled_count / self.batch_size))
 
-    def epoch_batches(self, labeled_x, labeled_y, unlabeled_x, epoch):
+    def epoch_batches(self, n_labeled, n_unlabeled, epoch):
+        """Per step, ``(rows, u_idx)``: labeled and unlabeled row indices."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, epoch]))
-        order = rng.permutation(len(labeled_x))
-        n_u = len(unlabeled_x)
-        cycle = rng.permutation(n_u) if n_u else np.zeros(0, dtype=np.int64)
+        order = rng.permutation(n_labeled)
+        cycle = rng.permutation(n_unlabeled) if n_unlabeled else None
         cursor = 0
-        for start in range(0, len(order), self.batch_size):
-            rows = order[start:start + self.batch_size]
-            if n_u and self.unlabeled_batch_size:
-                take = []
-                need = self.unlabeled_batch_size
-                while need > 0:
-                    if cursor == n_u:
-                        cycle = rng.permutation(n_u)
-                        cursor = 0
-                    grab = min(need, n_u - cursor)
-                    take.append(cycle[cursor:cursor + grab])
-                    cursor += grab
-                    need -= grab
-                u_idx = np.concatenate(take)
-            else:
-                u_idx = np.zeros(0, dtype=np.int64)
-            yield StepBatch(labeled_x=labeled_x[rows],
-                            labeled_y=labeled_y[rows],
-                            labeled_idx=rows,
-                            unlabeled_x=unlabeled_x[u_idx] if n_u else
-                            np.zeros((0, labeled_x.shape[1])),
-                            unlabeled_idx=u_idx)
+        for start in range(0, n_labeled, self.batch_size):
+            take = [np.zeros(0, dtype=np.int64)]
+            need = self.unlabeled_batch_size if n_unlabeled else 0
+            while need > 0:
+                if cursor == n_unlabeled:
+                    cycle = rng.permutation(n_unlabeled)
+                    cursor = 0
+                grab = min(need, n_unlabeled - cursor)
+                take.append(cycle[cursor:cursor + grab])
+                cursor += grab
+                need -= grab
+            yield order[start:start + self.batch_size], np.concatenate(take)
 
 
 def save_dataset(path, ds: OpenSetDataset):

@@ -93,31 +93,20 @@ class SrdConfig:
             raise SettingError("kd_temperature", "must be positive")
 
 
-def srd_kl(z_t, z_hat):
-    """Soft cross-entropy of cross-network logits against teacher logits."""
-    z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-    return softmax_cross_entropy(z_hat, softmax_values(z_t.values))
-
-
-def srd_mse(z_t, z_hat):
-    """Squared logit distance, summed per sample, batch-meaned."""
-    z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-    return mse(z_t.detach(), z_hat)
-
-
-def srd_pmse(z_t, z_hat):
-    """Squared probability distance between the two softmax outputs."""
-    z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-    return mse(softmax_values(z_t.values), softmax(z_hat))
-
-
 def srd_loss(variant, z_t, z_hat):
+    """The srd term between teacher logits ``z_t`` and cross-network logits.
+
+    kl: soft cross-entropy against the teacher's softmax; mse: squared
+    logit distance, summed per sample and batch-meaned; pmse: squared
+    distance between the two softmax outputs. ``z_t`` is constant.
+    """
+    z_t = z_t.values if isinstance(z_t, Tensor) else np.asarray(z_t)
     if variant == "kl":
-        return srd_kl(z_t, z_hat)
+        return softmax_cross_entropy(z_hat, softmax_values(z_t))
     if variant == "mse":
-        return srd_mse(z_t, z_hat)
+        return mse(z_t, z_hat)
     if variant == "pmse":
-        return srd_pmse(z_t, z_hat)
+        return mse(softmax_values(z_t), softmax(z_hat))
     raise ValueError(f"srd_loss: unknown variant {variant!r}")
 
 
@@ -136,28 +125,27 @@ def lr_at(base_lr, milestones, gamma, epoch):
     return lr
 
 
-def train_epochs(mode, seed, params, optim_params, epochs, x, y, step, pool_x=None):
+def train_epochs(mode, seed, params, optim_params, epochs, n_labeled, step, n_pool=0):
     """The training loop of both stages; yields ``(epoch, means)`` per epoch.
 
-    Per seeded batch of labeled rows ``x`` (one-hot ``y``) and unlabeled
-    rows ``pool_x``, ``step(batch)`` returns the loss graph and its
-    (ce, srd, reg) floats; the loop backpropagates it and steps ``Sgd``
-    over ``params`` at the scheduled learning rate. ``means`` holds the
-    epoch's mean of each term and the total. A ``NumericError`` (whose
-    ``term``, "ce" if unset, names the term) or a non-finite loss raises
-    ``DivergenceError`` naming mode, seed, epoch, step and term.
+    Per seeded batch, ``step(rows, u_idx)`` gathers its labeled rows
+    ``rows`` (of ``n_labeled``) and unlabeled rows ``u_idx`` (of
+    ``n_pool``) and returns the loss graph and its (ce, srd, reg) floats;
+    the loop backpropagates it and steps ``Sgd`` over ``params`` at the
+    scheduled learning rate. ``means`` holds the epoch's mean of each
+    term and the total. A ``NumericError`` (whose ``term``, "ce" if unset,
+    names the term) or a non-finite loss raises ``DivergenceError``
+    naming mode, seed, epoch, step and term.
     """
-    if pool_x is None:
-        pool_x = np.zeros((0, x.shape[1]))
     sampler = BatchSampler(optim_params.batch_size, optim_params.unlabeled_batch_size, seed)
     opt = Sgd(params, optim_params.lr, optim_params.momentum, optim_params.weight_decay)
     for epoch in range(epochs):
         opt.lr = lr_at(optim_params.lr, optim_params.milestones, optim_params.gamma, epoch)
         sums = {"ce": 0.0, "srd": 0.0, "reg": 0.0, "total": 0.0}
         steps = 0
-        for batch in sampler.epoch_batches(x, y, pool_x, epoch):
+        for rows, u_idx in sampler.epoch_batches(n_labeled, n_pool, epoch):
             try:
-                total, (ce, srd, reg) = step(batch)
+                total, (ce, srd, reg) = step(rows, u_idx)
             except NumericError as exc:
                 raise DivergenceError(mode, seed, epoch, steps, getattr(exc, "term", "ce"),
                                       exc) from exc
@@ -188,14 +176,16 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     """
     from .metrics import evaluate_accuracy
 
-    def step(batch):
-        _, logits = net.forward(batch.labeled_x, train=True)
-        loss = softmax_cross_entropy(logits, batch.labeled_y)
+    x = dataset.labeled_x
+    y = one_hot(dataset.labeled_y, dataset.params.classes)
+
+    def step(rows, u_idx):
+        _, logits = net.forward(x[rows], train=True)
+        loss = softmax_cross_entropy(logits, y[rows])
         return loss, (loss.item(), 0.0, 0.0)
 
-    y = one_hot(dataset.labeled_y, dataset.params.classes)
     for _ in train_epochs("pretrain", seed, net.parameters(), optim_params, epochs,
-                          dataset.labeled_x, y, step):
+                          len(x), step):
         pass
     if epochs > 0:
         accuracy = evaluate_accuracy(net, dataset.test_x, dataset.test_y)

@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from .baselines import train_with_mode
-from .config import format_config, load_config, override
+from .config import ConfigError, format_config, load_config, override
 from .data import generate
 from .distill import DivergenceError, pretrain_teacher
 from .fileio import atomic_open
@@ -45,10 +45,15 @@ def teacher_cache_key(cfg, seed):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def teacher_path(cfg, seed):
+    """Where the pretrained teacher of this config and trial seed is cached."""
+    return os.path.join(cfg.run.cache_dir, f"teacher-{teacher_cache_key(cfg, seed)}.ckpt")
+
+
 def get_teacher(cfg, dataset, seed):
     """Load the cached pretrained teacher for this trial, or train it."""
     os.makedirs(cfg.run.cache_dir, exist_ok=True)
-    path = os.path.join(cfg.run.cache_dir, f"teacher-{teacher_cache_key(cfg, seed)}.ckpt")
+    path = teacher_path(cfg, seed)
     teacher, _, _ = build_pair(cfg, seed)
     if os.path.exists(path):
         teacher.load_state(load_checkpoint(path))
@@ -113,8 +118,6 @@ def _aggregates(rows):
 def read_summary(run_dir):
     """Per-seed rows of a finished run's summary table."""
     path = os.path.join(run_dir, "summary.csv")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no summary.csv under {run_dir}")
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -134,16 +137,18 @@ def compare(run_dirs):
     """Aligned per-mode table over finished runs of one dataset.
 
     Refuses to mix runs whose dataset parameters (seed included) differ;
-    aggregates are recomputed from the per-seed rows.
+    aggregates are recomputed from the per-seed rows. A directory without
+    ``resolved.cfg`` or ``summary.csv`` raises ``ConfigError`` naming it.
     """
     if len(run_dirs) < 2:
         raise ValueError("compare: needs at least two run directories")
     loaded = []
     for d in run_dirs:
-        cfg_path = os.path.join(d, "resolved.cfg")
-        if not os.path.exists(cfg_path):
-            raise FileNotFoundError(f"no resolved.cfg under {d}")
-        loaded.append((d, load_config(cfg_path), read_summary(d)))
+        for name in ("resolved.cfg", "summary.csv"):
+            if not os.path.isfile(os.path.join(d, name)):
+                raise ConfigError(f"compare: {d} is not a finished run directory "
+                                  f"(no {name})")
+        loaded.append((d, load_config(os.path.join(d, "resolved.cfg")), read_summary(d)))
     reference = loaded[0][1].dataset
     for d, cfg, _ in loaded[1:]:
         if cfg.dataset != reference:

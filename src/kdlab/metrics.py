@@ -54,12 +54,6 @@ def evaluate_accuracy(net, x, y, k=1):
     return top_k_accuracy(logits.values, y, k)
 
 
-def entropy(p):
-    """Shannon entropy in nats of each probability row, floored logs."""
-    p = np.asarray(p, dtype=np.float64)
-    return -(p * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=-1)
-
-
 def mimicry_kl(teacher, student, x):
     """Mean KL(teacher predictions || student predictions) over ``x``.
 

@@ -244,12 +244,12 @@ def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
     feats_u, z_u = teacher_outputs(teacher, pool)
     o = cfg.optimizer
     sampler = BatchSampler(o.batch_size, o.unlabeled_batch_size, seed=0)
-    for batch in sampler.epoch_batches(ds.labeled_x, ds.labeled_y, pool, epoch=0):
-        l_idx, u_idx = batch.labeled_idx, batch.unlabeled_idx
-        f, z = teacher.forward(np.concatenate([batch.labeled_x, batch.unlabeled_x]))
+    for l_idx, u_idx in sampler.epoch_batches(len(ds.labeled_x), len(pool), epoch=0):
+        assert (len(l_idx), len(u_idx)) == (32, 64)
+        f, z = teacher.forward(np.concatenate([ds.labeled_x[l_idx], pool[u_idx]]))
         assert np.array_equal(f.values, np.concatenate([feats_l[l_idx], feats_u[u_idx]]))
         assert np.array_equal(z.values, np.concatenate([z_l[l_idx], z_u[u_idx]]))
-        f, z = teacher.forward(batch.unlabeled_x)
+        f, z = teacher.forward(pool[u_idx])
         assert np.array_equal(f.values, feats_u[u_idx])
         assert np.array_equal(z.values, z_u[u_idx])
 

@@ -10,7 +10,7 @@ import pytest
 
 import kdlab
 from kdlab import metrics
-from kdlab.config import override, parse_config
+from kdlab.config import ConfigError, override, parse_config
 from kdlab.data import generate
 from kdlab.distill import DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
@@ -230,8 +230,13 @@ def test_compare_refuses_mismatched_datasets(tmp_path):
 def test_compare_requires_finished_runs(tmp_path):
     os.makedirs(tmp_path / "empty1")
     os.makedirs(tmp_path / "empty2")
-    with pytest.raises(FileNotFoundError):
-        compare([str(tmp_path / "empty1"), str(tmp_path / "empty2")])
+    dirs = [str(tmp_path / "empty1"), str(tmp_path / "empty2")]
+    with pytest.raises(ConfigError, match=r"empty1 is not a finished run directory "
+                                           r"\(no resolved.cfg\)"):
+        compare(dirs)
+    (tmp_path / "empty1" / "resolved.cfg").write_text("")
+    with pytest.raises(ConfigError, match=r"empty1 .*\(no summary.csv\)"):
+        compare(dirs)
 
 
 # sweeps

@@ -5,10 +5,9 @@ import pytest
 
 from kdlab.config import ArchParams
 from kdlab.metrics import (METRICS_COLUMNS, MetricsRecord, USAGE_COLUMNS,
-                           entropy, feature_dump, fmt, mimicry_kl, roc_auc,
-                           summary_stats, top_k_accuracy, usage_curve,
-                           write_metrics_csv, write_usage_csv,
-                           write_usage_curve_csv)
+                           feature_dump, fmt, mimicry_kl, roc_auc, summary_stats,
+                           top_k_accuracy, usage_curve, write_metrics_csv,
+                           write_usage_csv, write_usage_curve_csv)
 from kdlab.models import make_network
 
 
@@ -45,13 +44,6 @@ def test_top_k_argument_checks():
         top_k_accuracy(logits, np.zeros(2, dtype=int), k=4)
     with pytest.raises(ValueError):
         top_k_accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int))
-
-
-def test_entropy_known_values():
-    assert abs(entropy(np.array([0.5, 0.5])) - np.log(2.0)) < 1e-12
-    assert entropy(np.array([1.0, 0.0])) < 1e-10
-    rows = entropy(np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0]]))
-    assert abs(rows[0] - np.log(4.0)) < 1e-12
 
 
 # agreement with the teacher
