@@ -16,7 +16,7 @@ import numpy as np
 from .autograd import (NumericError, Tensor, backward, cosine_loss, logistic_loss,
                        no_grad, sigmoid, slice_rows, softmax_cross_entropy,
                        softmax_values)
-# The per-row view of the dac term, importable beside it.
+# Unused here; kept because benchmarks/tracer.py rebinds baselines.cosine_rows.
 from .autograd import cosine_rows  # noqa: F401
 from .data import augment, one_hot, select_unlabeled
 from .distill import MODES, feature_reg, srd_loss, train_epochs
@@ -27,10 +27,6 @@ from .optim import Sgd
 
 # Rows per frozen-teacher forward when its outputs are cached for a trial.
 TEACHER_CHUNK = 256
-
-# MODES terms that read the frozen teacher's per-row outputs; a mode with
-# none of them (supervised, pseudo_label) never runs the teacher per row.
-TEACHER_TERMS = ("srd", "kd", "ood", "dac")
 
 
 def kd_loss(z_t, z_s, temperature):
@@ -59,20 +55,21 @@ def pseudo_label(logits):
 def teacher_outputs(teacher, x):
     """The frozen teacher's (features, logits) arrays over the rows of ``x``.
 
-    Forwards ``TEACHER_CHUNK`` rows at a time so peak memory stays flat
-    however many rows there are. A row's outputs do not depend on the
-    rows forwarded beside it, except that a one-row product takes BLAS's
-    matrix-vector path, which rounds differently; a lone row is forwarded
-    twice over and the copy dropped.
+    Forwards ``TEACHER_CHUNK`` rows at a time into preallocated arrays, so
+    peak memory stays flat however many rows there are. A row's outputs
+    do not depend on the rows forwarded beside it, except that a one-row
+    product takes BLAS's matrix-vector path, which rounds differently; a
+    lone row is forwarded twice over and the copy dropped.
     """
-    feats, logits = [], []
+    feature_dim, classes = teacher.classifier.weight.shape
+    feats, logits = np.empty((len(x), feature_dim)), np.empty((len(x), classes))
     for start in range(0, len(x), TEACHER_CHUNK):
         rows = x[start:start + TEACHER_CHUNK]
         with no_grad():
             f, z = teacher.forward(rows if len(rows) > 1 else np.repeat(rows, 2, axis=0))
-        feats.append(f.values[:len(rows)])
-        logits.append(z.values[:len(rows)])
-    return np.concatenate(feats), np.concatenate(logits)
+        feats[start:start + len(rows)] = f.values[:len(rows)]
+        logits[start:start + len(rows)] = z.values[:len(rows)]
+    return feats, logits
 
 
 class OodDetector:
@@ -148,11 +145,11 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     ``x`` holds the labeled rows (one per row of the one-hot ``y``), then
     the unlabeled rows that passed the filter; ``teacher_out`` is the
     frozen teacher's (features, logits) over the same rows, or None when
-    no term reads it. ``terms`` is a
-    ``MODES`` entry: srd (with its feature regularizer), kd, pseudo and dac
-    join the labeled cross-entropy in that order. pseudo needs the
-    teacher's hard labels for the unlabeled rows and their weight; dac
-    needs the second view of the unlabeled rows. The reported srd is the
+    ``terms``, a ``MODES`` entry, is empty. srd (with its feature
+    regularizer), kd, pseudo and dac join the labeled cross-entropy in
+    that order. pseudo needs the teacher's hard labels for the unlabeled
+    rows and their weight; dac needs the second view of the unlabeled
+    rows. The reported srd is the
     kd term in modes without srd and the pool cross-entropy under pseudo.
     A ``NumericError`` raised while a term is built leaves with that
     term's name ("ce" for the labeled cross-entropy) as ``exc.term``.
@@ -204,33 +201,31 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
 
 def _trial_setup(dataset, teacher, cfg, terms, select_seed):
     """The selected pool (None if no step draws unlabeled rows), the frozen
-    teacher's outputs on the labeled rows and on the pool, and pseudo labels.
+    teacher's (features, logits) table, and the pool's pseudo labels and weight.
 
-    A frozen teacher's outputs on a row never change, so the labeled rows
-    and the pool are forwarded once, and only when a term, the selection
-    policy or pseudo labels read them. +dac draws a fresh view of its
-    unlabeled rows every step: those are the only rows forwarded per step.
+    The table's rows are the labeled rows, then the selected pool rows, so
+    labeled row ``i`` is table row ``i`` and pool row ``j`` is ``n_l + j``.
+    A frozen teacher's outputs on a row never change, so in every mode with
+    terms the labeled rows and the whole pool are forwarded once, together;
+    the selection policy and the pseudo labels read the pool's logits there.
+    ``supervised`` has no terms and forwards nothing.
     """
-    reads_teacher = any(term in terms for term in TEACHER_TERMS)
-    labeled_out = teacher_outputs(teacher, dataset.labeled_x) if reads_teacher else None
-    run = cfg.run
-    if not (run.use_unlabeled and run.mode != "supervised" and len(dataset.unlabeled) > 0
-            and cfg.optimizer.unlabeled_batch_size > 0):
-        return None, labeled_out, None, None, None
-    full = dataset.unlabeled
-    # teacher_score reads the pool's logits only to choose a strict subset
-    scores_pool = run.selection_policy == "teacher_score" and run.unlabeled_fraction < 1.0
-    reads_pool = scores_pool or "pseudo" in terms or (reads_teacher and "dac" not in terms)
-    full_out = teacher_outputs(teacher, full.inputs) if reads_pool else None
+    if not terms:
+        return None, None, None, None
+    run, full = cfg.run, dataset.unlabeled
+    n_l = len(dataset.labeled_x)
+    if not (run.use_unlabeled and len(full) > 0 and cfg.optimizer.unlabeled_batch_size > 0):
+        return None, teacher_outputs(teacher, dataset.labeled_x), None, None
+    table = teacher_outputs(teacher, np.concatenate([dataset.labeled_x, full.inputs]))
     chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
-                              None if full_out is None else full_out[1], seed=select_seed)
+                              table[1][n_l:], seed=select_seed)
+    table = [out[np.concatenate([np.arange(n_l), n_l + chosen])] for out in table]
     pool = full.subset(chosen)
-    pool_out = None if full_out is None else [out[chosen] for out in full_out]
     pseudo_y = pseudo_weight = None
     if "pseudo" in terms:
-        pseudo_y = pseudo_label(pool_out[1])
-        pseudo_weight = cfg.baselines.pseudo_weight * len(pool) / len(dataset.labeled_x)
-    return pool, labeled_out, pool_out, pseudo_y, pseudo_weight
+        pseudo_y = pseudo_label(table[1][n_l:])
+        pseudo_weight = cfg.baselines.pseudo_weight * len(pool) / n_l
+    return pool, table, pseudo_y, pseudo_weight
 
 
 def _ood_step(detector, det_opt, det_rng, feats_l, feats_u, ind_flags, usage):
@@ -282,32 +277,31 @@ def train_with_mode(dataset, teacher, cfg, seed):
                            np.random.default_rng(streams[3]),
                            threshold=cfg.baselines.ood_threshold)
     det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
-    pool, labeled_out, pool_out, pseudo_y, pseudo_weight = _trial_setup(
+    pool, table, pseudo_y, pseudo_weight = _trial_setup(
         dataset, teacher, cfg, terms, select_seed)
     pool_ind = pool.eval_view()[1] if pool is not None else None
     counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
     x_l = dataset.labeled_x
+    n_l = len(x_l)
     y_l = one_hot(dataset.labeled_y, dataset.params.classes)
 
     def step(rows, u_idx):
         if use_ood and len(u_idx):
-            keep = _ood_step(detector, det_opt, det_rng, labeled_out[0][rows],
-                             pool_out[0][u_idx], pool_ind[u_idx], counts)
+            keep = _ood_step(detector, det_opt, det_rng, table[0][rows],
+                             table[0][n_l + u_idx], pool_ind[u_idx], counts)
             u_idx = u_idx[keep]
         x_u = pool.inputs[u_idx] if len(u_idx) else None
+        teacher_out = None
+        if table is not None:
+            teacher_out = [out[np.concatenate([rows, n_l + u_idx])] for out in table]
         view2 = None
         if use_dac and x_u is not None:
             view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
             view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
             x_u = view1
-        teacher_out = None
-        if labeled_out is not None:
-            parts = [[out[rows] for out in labeled_out]]
-            if view2 is not None:
-                parts.append(teacher_outputs(teacher, x_u))
-            elif x_u is not None:
-                parts.append([out[u_idx] for out in pool_out])
-            teacher_out = [np.concatenate(group) for group in zip(*parts)]
+            # the teacher's outputs past the labeled rows are on view 1
+            for out, fresh in zip(teacher_out, teacher_outputs(teacher, x_u)):
+                out[len(rows):] = fresh
         x = x_l[rows] if x_u is None else np.concatenate([x_l[rows], x_u])
         return stage2_loss(terms, nets, cfg, x, y_l[rows], teacher_out,
                            pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
@@ -319,7 +313,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
     records, usage = [], []
     run_id = f"{mode}-seed{seed}"
     for epoch, means in train_epochs(mode, seed, params, cfg.optimizer, cfg.run.epochs,
-                                     len(x_l), step, n_pool=0 if pool is None else len(pool)):
+                                     n_l, step, n_pool=0 if pool is None else len(pool)):
         records.append(_epoch_record(run_id, mode, seed, epoch, means, student, dataset))
         if use_ood:
             usage.append({"epoch": epoch, **counts})

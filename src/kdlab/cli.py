@@ -22,13 +22,12 @@ from .metrics import evaluate_accuracy, feature_dump
 from .models import build_pair, load_checkpoint
 
 
-def _add_common(p, with_out=True):
+def _add_common(p):
     p.add_argument("--config", metavar="PATH",
                    help="configuration file; defaults apply when omitted")
     p.add_argument("--seed", type=int, metavar="N",
                    help="replace the configured seed list with this one seed")
-    if with_out:
-        p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--out", metavar="DIR", help="output directory")
 
 
 def _build_parser():

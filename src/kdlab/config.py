@@ -132,6 +132,13 @@ class ExperimentConfig:
     baselines: BaselineParams
     run: RunParams
 
+    def __post_init__(self):
+        # the capacity rule; the key names the part and field a parse reports
+        d = self.dataset
+        if parameter_count(d.input_dim, self.teacher, d.classes) < \
+                parameter_count(d.input_dim, self.student, d.classes):
+            raise SettingError("student.hidden", "student capacity exceeds teacher capacity")
+
 
 DEFAULTS = ExperimentConfig(
     dataset=DatasetParams(),
@@ -215,13 +222,11 @@ def parse_config(text):
             parts[part] = dataclasses.replace(default, **given)
         except SettingError as exc:
             bad(section, exc.key, exc.message)
-    cfg = ExperimentConfig(**parts)
-
-    d = cfg.dataset
-    if parameter_count(d.input_dim, cfg.teacher, d.classes) < \
-            parameter_count(d.input_dim, cfg.student, d.classes):
-        bad("student", "hidden", "student capacity exceeds teacher capacity")
-    return cfg
+    try:
+        return ExperimentConfig(**parts)
+    except SettingError as exc:
+        part, _, key = exc.key.partition(".")
+        bad(PARTS[part], key, exc.message)
 
 
 def _format_value(value, kind):

@@ -137,11 +137,12 @@ def compare(run_dirs):
     """Aligned per-mode table over finished runs of one dataset.
 
     Refuses to mix runs whose dataset parameters (seed included) differ;
-    aggregates are recomputed from the per-seed rows. A directory without
-    ``resolved.cfg`` or ``summary.csv`` raises ``ConfigError`` naming it.
+    aggregates are recomputed from the per-seed rows. Fewer than two
+    directories, or one without ``resolved.cfg`` or ``summary.csv``, raise
+    ``ConfigError``.
     """
     if len(run_dirs) < 2:
-        raise ValueError("compare: needs at least two run directories")
+        raise ConfigError("compare: needs at least two run directories")
     loaded = []
     for d in run_dirs:
         for name in ("resolved.cfg", "summary.csv"):

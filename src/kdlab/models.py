@@ -248,16 +248,11 @@ def build_pair(cfg, seed):
     The three parts draw from independent seed streams, so changing the
     student architecture never perturbs the teacher's initialization.
     The teacher comes back trainable (stage 1 trains it); freezing is
-    the pretraining stage's job. Teacher capacity must dominate student
-    capacity.
+    the pretraining stage's job. The config has already checked the
+    capacity rule.
     """
     input_dim = cfg.dataset.input_dim
     classes = cfg.dataset.classes
-    t_count, s_count = (parameter_count(input_dim, arch, classes)
-                        for arch in (cfg.teacher, cfg.student))
-    if t_count < s_count:
-        raise ValueError(f"build_pair: teacher capacity {t_count} is below "
-                         f"student capacity {s_count}")
     t_seed, s_seed, a_seed = [s.generate_state(1)[0]
                               for s in np.random.SeedSequence(seed).spawn(3)]
     teacher = make_network(input_dim, cfg.teacher, classes, t_seed)

@@ -230,28 +230,35 @@ def _preset_teacher():
 
 
 def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
-    """Chunked once-per-trial outputs equal the per-step forwards bit for bit.
+    """The once-per-trial table equals per-step forwards bit for bit.
 
     Standard preset: its teacher, 800 labeled rows, a 2040-row pool, steps
     of 32 labeled + 64 pool rows (+dac forwards the 64 pool rows alone).
-    A BLAS whose per-row results depend on the rows beside them fails
-    here instead of changing artifact bytes.
+    The table forwards the labeled rows and the pool together, so its
+    chunks straddle the two; it must equal forwarding each alone. A BLAS
+    whose per-row results depend on the rows beside them fails here
+    instead of changing artifact bytes.
     """
     cfg, ds, teacher = _preset_teacher()
     pool = ds.unlabeled.inputs
-    assert (len(ds.labeled_x), len(pool)) == (800, 2040)
-    feats_l, z_l = teacher_outputs(teacher, ds.labeled_x)
-    feats_u, z_u = teacher_outputs(teacher, pool)
+    n_l = len(ds.labeled_x)
+    assert (n_l, len(pool)) == (800, 2040)
+    feats, z_all = teacher_outputs(teacher, np.concatenate([ds.labeled_x, pool]))
+    for alone, joint in zip((*teacher_outputs(teacher, ds.labeled_x),
+                             *teacher_outputs(teacher, pool)),
+                            (feats[:n_l], z_all[:n_l], feats[n_l:], z_all[n_l:])):
+        assert np.array_equal(alone, joint)
     o = cfg.optimizer
     sampler = BatchSampler(o.batch_size, o.unlabeled_batch_size, seed=0)
-    for l_idx, u_idx in sampler.epoch_batches(len(ds.labeled_x), len(pool), epoch=0):
+    for l_idx, u_idx in sampler.epoch_batches(n_l, len(pool), epoch=0):
         assert (len(l_idx), len(u_idx)) == (32, 64)
+        at = np.concatenate([l_idx, n_l + u_idx])
         f, z = teacher.forward(np.concatenate([ds.labeled_x[l_idx], pool[u_idx]]))
-        assert np.array_equal(f.values, np.concatenate([feats_l[l_idx], feats_u[u_idx]]))
-        assert np.array_equal(z.values, np.concatenate([z_l[l_idx], z_u[u_idx]]))
+        assert np.array_equal(f.values, feats[at])
+        assert np.array_equal(z.values, z_all[at])
         f, z = teacher.forward(pool[u_idx])
-        assert np.array_equal(f.values, feats_u[u_idx])
-        assert np.array_equal(z.values, z_u[u_idx])
+        assert np.array_equal(f.values, feats[n_l + u_idx])
+        assert np.array_equal(z.values, z_all[n_l + u_idx])
 
 
 def test_a_lone_row_gets_the_outputs_it_has_inside_a_batch(monkeypatch):
@@ -297,21 +304,18 @@ def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):
             monkeypatch, override(cfg, mode=mode, epochs=epochs, **run), ds, teacher)
 
     assert forwards("supervised", 1) == forwards("supervised", 3) == []
-    # one forward of the pool and one of the labeled rows
-    for mode in ("srd", "kd", "srd+ood"):
-        assert forwards(mode, 1) == forwards(mode, 3) == [40, 48], mode
-    # the pool once, read by the selection policy and the pseudo labels or terms alike
+    # every other mode forwards the labeled rows and the whole pool once, together,
+    # whichever rows its terms, the selection policy or pseudo labels read
     half = dict(selection_policy="teacher_score", unlabeled_fraction=0.5)
-    assert forwards("pseudo_label", 1) == forwards("pseudo_label", 3, **half) == [40]
-    assert forwards("srd", 1, **half) == forwards("srd", 3, **half) == [40, 48]
-    # the labeled rows once, then every step's fresh view of its pool rows
-    assert len(forwards("srd+dac", 1)) == 1 + steps
-    assert len(forwards("srd+dac", 3)) == 1 + 3 * steps
-    # teacher_score keeps the whole pool at fraction 1.0 without scoring it
-    whole = dict(selection_policy="teacher_score", unlabeled_fraction=1.0)
-    assert forwards("srd+dac", 1, **whole) == forwards("srd+dac", 1)
-    assert 40 not in forwards("srd+dac", 1, **whole)
-    assert 40 in forwards("srd+dac", 1, **half)
+    for mode in MODES:
+        if mode != "supervised" and "dac" not in mode:
+            assert forwards(mode, 1) == forwards(mode, 3) == forwards(mode, 3, **half) \
+                == [48 + 40], mode
+    assert forwards("srd", 3, use_unlabeled=False) == [48]
+    # +dac adds one forward per step: its fresh view of the step's pool rows
+    for mode in ("kd+dac", "srd+dac"):
+        assert forwards(mode, 1) == forwards(mode, 1, **half) == [8] * steps + [88], mode
+        assert forwards(mode, 3) == [8] * (3 * steps) + [88], mode
 
 
 def test_zero_epochs_return_the_initial_student():

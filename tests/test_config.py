@@ -225,7 +225,18 @@ feature_dim = 4
 hidden = 128,128
 feature_dim = 64
 """)
-    assert "capacity" in str(err.value)
+    assert str(err.value) == "line 5: [student] hidden: student capacity exceeds teacher capacity"
+
+
+def test_a_replaced_part_is_held_to_the_capacity_rule():
+    big = dataclasses.replace(DEFAULTS.student, hidden=(512, 512))
+    with pytest.raises(SettingError) as err:
+        dataclasses.replace(DEFAULTS, student=big)
+    assert (err.value.key, err.value.message) == \
+        ("student.hidden", "student capacity exceeds teacher capacity")
+    small = dataclasses.replace(DEFAULTS.teacher, hidden=(4,), feature_dim=4)
+    with pytest.raises(SettingError):
+        dataclasses.replace(DEFAULTS, teacher=small)
 
 
 def test_config_error_reports_file_level_without_a_line():

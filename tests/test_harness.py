@@ -223,7 +223,7 @@ def test_compare_refuses_mismatched_datasets(tmp_path):
                  cache_dir=str(tmp_path / "cache2")))
     with pytest.raises(ValueError):
         compare([str(tmp_path / "a"), str(tmp_path / "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="at least two"):
         compare([str(tmp_path / "a")])
 
 
@@ -313,6 +313,10 @@ def test_cli_compare_of_missing_run_directories_exits_2(tmp_path):
     code, out, err = _cli(["compare", missing, missing + "-b"], cwd=tmp_path)
     assert code == 2, err
     assert missing in err and "resolved.cfg" in err
+    # one directory is a usage problem too
+    code, out, err = _cli(["compare", missing], cwd=tmp_path)
+    assert code == 2, err
+    assert err == "config error: compare: needs at least two run directories\n"
 
 
 def test_cli_reports_a_missed_floor_with_code_3(tmp_path):

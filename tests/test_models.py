@@ -314,12 +314,12 @@ feature_dim = 4
 hidden = 64,64
 feature_dim = 32
 """)
-    # the builder re-checks, for configs assembled without the parser
-    cfg = dataclasses.replace(
-        _pair_cfg("8,8"),
-        student=Arch(hidden=(64, 64), feature_dim=32, feature_norm=True))
-    with pytest.raises(ValueError):
-        build_pair(cfg, seed=0)
+    # a config assembled without the parser is checked as it is assembled,
+    # so no config build_pair is handed breaks the rule
+    with pytest.raises(ValueError, match="student capacity exceeds teacher capacity"):
+        dataclasses.replace(
+            _pair_cfg("8,8"),
+            student=Arch(hidden=(64, 64), feature_dim=32, feature_norm=True))
 
 
 def test_parameter_count_matches_hand_count():
