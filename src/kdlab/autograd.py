@@ -74,7 +74,7 @@ class Tensor:
     def __init__(self, values, requires_grad=False, node=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.values) if requires_grad else None
+        self.grad = np.zeros(self.values.shape) if requires_grad else None
         self.node = node
 
     @property
@@ -157,8 +157,10 @@ def _unbroadcast(grad, shape):
 
 
 def _make(values, op, parents, rule):
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, node=Node(op, tuple(parents), rule))
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(values, requires_grad=True, node=Node(op, tuple(parents), rule))
     return Tensor(values)
 
 
@@ -237,7 +239,8 @@ def matmul(a, b):
     values = a.values @ b.values
 
     def rule(g):
-        return g @ b.values.T, a.values.T @ g
+        return (g @ b.values.T if a.requires_grad else None,
+                a.values.T @ g if b.requires_grad else None)
 
     return _make(values, "matmul", (a, b), rule)
 
@@ -245,20 +248,19 @@ def matmul(a, b):
 def linear(x, w, b, relu=False):
     """Dense layer ``x @ w + b``, optionally followed by ReLU, as one node.
 
-    Values and gradients are bit-identical to ``matmul`` then ``add``
-    (then ``relu``); the backward computes only the gradients of parents
-    that require one.
+    ``b`` is one bias per output column. Values and gradients are
+    bit-identical to ``matmul`` then ``add`` (then ``relu``); the backward
+    computes only the gradients of parents that require one.
     """
     x, w, b = _promote(x), _promote(w), _promote(b)
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"linear: expects 2-d operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear: inner dimensions differ, {x.shape} vs {w.shape}")
-    try:
-        values = x.values @ w.values + b.values
-    except ValueError:
+    if b.shape != w.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.shape} does not fit "
-                         f"output shape {(x.shape[0], w.shape[1])}") from None
+                         f"output shape {(x.shape[0], w.shape[1])}")
+    values = x.values @ w.values + b.values
     mask = None
     if relu:
         mask = values > 0.0
@@ -269,7 +271,7 @@ def linear(x, w, b, relu=False):
             g = g * mask
         return (g @ w.values.T if x.requires_grad else None,
                 x.values.T @ g if w.requires_grad else None,
-                _unbroadcast(g, b.values.shape) if b.requires_grad else None)
+                g.sum(axis=0) if b.requires_grad else None)
 
     return _make(values, "linear", (x, w, b), rule)
 
@@ -279,7 +281,8 @@ def batch_norm(x, gamma, beta, eps):
 
     Returns ``(out, mean, var)``: the normalized, scaled and shifted
     output plus the batch mean and (biased) variance arrays for the
-    running-statistic update. Values and gradients are bit-identical to
+    running-statistic update. ``gamma`` and ``beta`` hold one value per
+    column. Values and gradients are bit-identical to
     the composed graph ``c = x - x.mean(0)``, ``v = (c * c).mean(0)``,
     ``c / sqrt(v + eps) * gamma + beta``: the backward repeats its
     operations in the order the graph walk would run them.
@@ -290,6 +293,9 @@ def batch_norm(x, gamma, beta, eps):
     n = x.values.shape[0]
     if n == 0:
         raise ShapeError(f"batch_norm: empty batch, shape {x.shape}")
+    if gamma.shape != x.shape[1:] or beta.shape != x.shape[1:]:
+        raise ShapeError(f"batch_norm: gamma {gamma.shape} and beta {beta.shape} "
+                         f"must be one value per column of {x.shape}")
     inv_n = 1.0 / n
     mean = x.values.sum(axis=0) * inv_n
     centered = x.values - mean
@@ -299,24 +305,21 @@ def batch_norm(x, gamma, beta, eps):
     values = normed * gamma.values + beta.values
 
     def rule(g):
-        g_gamma = g_beta = None
-        if gamma.requires_grad:
-            g_gamma = _unbroadcast(g * normed, gamma.values.shape)
-        if beta.requires_grad:
-            g_beta = _unbroadcast(g, beta.values.shape)
+        g_gamma = (g * normed).sum(axis=0) if gamma.requires_grad else None
+        g_beta = g.sum(axis=0) if beta.requires_grad else None
         if not x.requires_grad:
             return None, g_gamma, g_beta
         g_normed = g * gamma.values
         # centered: the division's branch first, then both factors of c * c.
         g_centered = g_normed / scale
-        g_scale = _unbroadcast(-g_normed * centered / (scale * scale), scale.shape)
+        g_scale = (-g_normed * centered / (scale * scale)).sum(axis=0)
         g_var = g_scale / (2.0 * np.maximum(scale, LOG_FLOOR))
-        g_square = np.broadcast_to(g_var * inv_n, centered.shape)
-        g_centered = g_centered + g_square * centered
-        g_centered = g_centered + g_square * centered
+        g_square = g_var * inv_n * centered
+        g_centered = g_centered + g_square
+        g_centered = g_centered + g_square
         # x: the subtraction's branch first, then the mean's.
-        g_mean = -_unbroadcast(g_centered, mean.shape)
-        g_x = g_centered + np.broadcast_to(g_mean * inv_n, centered.shape)
+        g_mean = -g_centered.sum(axis=0)
+        g_x = g_centered + g_mean * inv_n
         return g_x, g_gamma, g_beta
 
     return _make(values, "batch_norm", (x, gamma, beta), rule), mean, var
@@ -484,7 +487,7 @@ def _row_distance(op, a, b, root):
             g = g * inv_n
         if denom is not None:
             g = g / denom
-        g_d = np.expand_dims(g, -1) * d
+        g_d = g[..., None] * d
         g_d = g_d + g_d
         return (g_d if a.requires_grad else None,
                 -g_d if b.requires_grad else None)
@@ -539,9 +542,9 @@ def cosine_loss(a, b):
     def rule(g):
         g = -g * inv_n
         g_denom = -g * dot / (denom * denom)
-        g_dot = np.expand_dims(g / denom, -1)
+        g_dot = (g / denom)[..., None]
         g_sq = g_denom * norm_b / (2.0 * np.maximum(norm_a, LOG_FLOOR))
-        g_sq = np.expand_dims(g_sq, -1) * a.values
+        g_sq = g_sq[..., None] * a.values
         return ((g_dot * b + g_sq) + g_sq,)
 
     return _make(values, "cosine_loss", (a,), rule)
@@ -581,6 +584,9 @@ def backward(loss):
     ``loss`` must be a scalar attached to a graph (or itself require a
     gradient). Each graph node is visited exactly once, in reverse
     topological order; repeated calls without resetting grads accumulate.
+    ``Tensor`` hashes by identity, so the walk keys its sets on the
+    tensors themselves. A tensor reached along several paths sums its
+    incoming gradients in the order the walk meets them.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -589,26 +595,27 @@ def backward(loss):
 
     topo = []
     seen = set()
+    nodes = 0
     stack = [(loss, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
             topo.append(t)
             continue
-        if id(t) in seen:
+        if t in seen:
             continue
-        seen.add(id(t))
+        seen.add(t)
         stack.append((t, True))
         if t.node is not None:
+            nodes += 1
             for p in t.node.parents:
-                if p.requires_grad and id(p) not in seen:
+                if p.requires_grad and p not in seen:
                     stack.append((p, False))
 
-    flowing = {id(loss): np.ones_like(loss.values)}
-    nodes = sum(1 for t in topo if t.node is not None)
+    flowing = {loss: np.ones_like(loss.values)}
     visits = 0
     for t in reversed(topo):
-        g = flowing.pop(id(t), None)
+        g = flowing.pop(t, None)
         if g is None:
             continue
         if t.requires_grad:
@@ -617,13 +624,10 @@ def backward(loss):
             continue
         visits += 1
         for parent, pg in zip(t.node.parents, t.node.rule(g)):
-            if not parent.requires_grad or pg is None:
+            if pg is None or not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in flowing:
-                flowing[key] = flowing[key] + pg
-            else:
-                flowing[key] = pg
+            earlier = flowing.get(parent)
+            flowing[parent] = pg if earlier is None else earlier + pg
 
     LAST_BACKWARD_STATS["nodes"] = nodes
     LAST_BACKWARD_STATS["visits"] = visits

@@ -293,7 +293,8 @@ def train_with_mode(dataset, teacher, cfg, seed):
         x_u = pool.inputs[u_idx] if len(u_idx) else None
         teacher_out = None
         if table is not None:
-            teacher_out = [out[np.concatenate([rows, n_l + u_idx])] for out in table]
+            table_rows = np.concatenate([rows, n_l + u_idx])
+            teacher_out = [out[table_rows] for out in table]
         view2 = None
         if use_dac and x_u is not None:
             view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)

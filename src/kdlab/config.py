@@ -115,6 +115,9 @@ class RunParams:
             raise SettingError("seeds", "needs at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise SettingError("seeds", "must be nonnegative")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise SettingError("seeds", f"seed {seed} appears twice")
         if not 0.0 < self.unlabeled_fraction <= 1.0:
             raise SettingError("unlabeled_fraction",
                                f"must lie in (0, 1], got {self.unlabeled_fraction}")

@@ -10,6 +10,7 @@ the payload is each array's bytes in header order.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 
 import numpy as np
@@ -92,7 +93,7 @@ def load_arrays(path, magic, who, tag=None, names=None, rank=None):
         except ValueError:
             raise ValueError(f"{who}: {path}: bad value for {kind} {name!r}: "
                              f"{' '.join(dims)!r}") from None
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if offset + count * 8 > len(payload):
             raise ValueError(
                 f"{who}: {path}: payload ends inside {kind} {name!r} "

@@ -254,6 +254,32 @@ def test_backward_visits_each_node_once():
     assert np.max(np.abs(x.grad - 10.0 * x.values)) < 1e-12
 
 
+def test_backward_adds_a_tensors_contributions_in_walk_order():
+    """x reaches the loss along three paths, and float addition rounds.
+
+    Each path sends x one of 1e16, 3 and -(1e16 - 2); whichever is added
+    last decides the bits ((a+b)+c is 6, (b+c)+a is 4, (c+a)+b is 5).
+    Each element of x gets the three in a different rotation, so the grad
+    pins which path the walk adds last: the outer add's last operand. A
+    walk in reverse creation order would give [4, 5, 6].
+    """
+    values = np.array([1e16, 3.0, -9999999999999998.0])
+    x = Tensor(np.ones(3), requires_grad=True)
+    paths = [mul(x, Tensor(np.roll(values, -k))) for k in range(3)]
+    backward(tensor_sum((paths[0] + paths[1]) + paths[2]))
+    assert x.grad.tolist() == [6.0, 4.0, 5.0]
+
+
+def test_matmul_computes_no_gradient_for_an_operand_that_needs_none():
+    rng = np.random.default_rng(37)
+    a, b = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+    g = rng.standard_normal((4, 2))
+    g_a, g_b = matmul(Tensor(a, requires_grad=True), Tensor(b)).node.rule(g)
+    assert g_b is None and np.array_equal(g_a, g @ b.T)
+    g_a, g_b = matmul(Tensor(a), Tensor(b, requires_grad=True)).node.rule(g)
+    assert g_a is None and np.array_equal(g_b, a.T @ g)
+
+
 def test_backward_accumulates_across_calls():
     x = Tensor(np.ones(3), requires_grad=True)
     backward(tensor_sum(mul(x, Tensor(2.0))))

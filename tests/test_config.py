@@ -75,13 +75,14 @@ def test_override_touches_only_run_fields():
 @pytest.mark.parametrize("updates, key, message", [
     ({"seeds": (0, -1)}, "seeds", "must be nonnegative"),
     ({"seeds": ()}, "seeds", "needs at least one seed"),
+    ({"seeds": (3, 1, 3)}, "seeds", "seed 3 appears twice"),
     ({"mode": "wizardry"}, "mode", "must be one of "),
     ({"selection_policy": "oracle"}, "selection_policy", "must be one of random, teacher_score"),
     ({"epochs": -1}, "epochs", "must be nonnegative"),
     ({"teacher_floor": 2.0}, "teacher_floor", "must lie in [0, 1]"),
     ({"unlabeled_fraction": 1.5}, "unlabeled_fraction", "must lie in (0, 1], got 1.5"),
-], ids=["negative_seed", "no_seed", "mode", "policy", "epochs", "teacher_floor",
-        "fraction"])
+], ids=["negative_seed", "no_seed", "repeated_seed", "mode", "policy", "epochs",
+        "teacher_floor", "fraction"])
 def test_override_checks_what_it_sets(updates, key, message):
     with pytest.raises(SettingError) as err:
         override(parse_config(""), **updates)
@@ -207,8 +208,9 @@ def test_out_of_range_values_carry_their_line():
      "[dataset] unlabeled_per_class: must be nonnegative"),
     ("[dataset]\nseed = -2\n", 2, "[dataset] seed: must be nonnegative"),
     ("[run]\nmode = srd\nseeds = 0,-1\n", 3, "[run] seeds: must be nonnegative"),
+    ("[run]\nseeds = 0, 0\nmode = srd\n", 2, "[run] seeds: seed 0 appears twice"),
 ], ids=["teacher_epochs", "input_dim", "test_per_class", "overlap_vs_empty_pool",
-        "negative_pool", "negative_dataset_seed", "negative_run_seed"])
+        "negative_pool", "negative_dataset_seed", "negative_run_seed", "repeated_run_seed"])
 def test_dataset_and_run_errors_name_their_own_key_and_line(text, line, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)

@@ -160,6 +160,14 @@ def test_checkpoint_rejects_a_bad_dimension(tmp_path):
             load_checkpoint(str(path))
 
 
+def test_checkpoint_rejects_a_shape_whose_element_count_overflows_int64(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    # 2**62 * 4 wraps to 0 in int64; the true count far exceeds the payload.
+    _edit_checkpoint(path, "\nb 4", "\nb 4611686018427387904 4")
+    with pytest.raises(ValueError, match=r"net\.ckpt.*payload ends inside array 'b'"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_a_missing_data_line(tmp_path):
     path = _small_checkpoint(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"\ndata\n", b"\n", 1))
@@ -410,6 +418,33 @@ def test_fused_teacher_step_matches_composed_graph():
     _assert_same_state(fused, composed)
 
 
+def test_a_frozen_teacher_classifier_gets_no_gradient_and_leaves_the_adaptor_bits():
+    """srd sends the adaptor's output through the frozen teacher classifier.
+
+    The classifier weight needs no gradient, so none is computed for it;
+    a twin whose weight does need one gives the student and adaptor the
+    same gradient bits.
+    """
+    cfg, (teacher, student, adaptor) = _preset_pair()
+    _, (twin_teacher, twin_student, twin_adaptor) = _preset_pair()
+    teacher.set_frozen(True)
+    twin_teacher.set_frozen(True)
+    weight = twin_teacher.classifier.weight
+    weight.requires_grad, weight.grad = True, np.zeros(weight.shape)
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((96, cfg.dataset.input_dim))
+    y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
+    out = teacher_outputs(teacher, x)
+
+    for nets in ((teacher, student, adaptor), (twin_teacher, twin_student, twin_adaptor)):
+        backward(stage2_loss(MODES["srd"], nets, cfg, x, y, out)[0])
+
+    assert teacher.classifier.weight.grad is None
+    assert np.any(weight.grad != 0.0)
+    _assert_same_state(student, twin_student)
+    _assert_same_state(adaptor, twin_adaptor)
+
+
 def _assert_step_matches_composed_graph(mode, variant):
     """Preset student and adaptor at a 96-row batch, every layer and loss
     head composed from elementary ops in the reference."""
@@ -543,6 +578,10 @@ def test_fused_ops_record_one_node_each():
         linear(Tensor(np.ones(4)), w, b)
     with pytest.raises(ShapeError):
         linear(x, w, Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):
+        linear(x, w, Tensor(np.ones((1, 3))))
+    with pytest.raises(ShapeError):
+        batch_norm(h, Tensor(np.ones((1, 3))), Tensor(np.zeros(3)), 1e-5)
 
 
 # Graph nodes per backward at the preset shapes. Composed from elementary
