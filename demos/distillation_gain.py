@@ -29,8 +29,8 @@ print(f"dataset: {cfg.dataset.classes} seen classes in "
       f"{len(ds.unlabeled)} unlabeled (overlap {cfg.dataset.overlap})")
 
 teacher = get_teacher(cfg, ds, SEED)
-_, logits = teacher.forward(ds.test_x)
-t_acc = top_k_accuracy(logits.values, ds.test_y, 1)
+_, logits = teacher.predict(ds.test_x)
+t_acc = top_k_accuracy(logits, ds.test_y, 1)
 print(f"teacher ({'x'.join(str(h) for h in cfg.teacher.hidden)}): "
       f"test top-1 {100 * t_acc:.2f}%")
 

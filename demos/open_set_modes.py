@@ -13,7 +13,6 @@ import os
 
 import numpy as np
 
-from kdlab.autograd import no_grad
 from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
@@ -48,9 +47,8 @@ for mode, r in results.items():
 # how hard pseudo-labeling poisons itself here
 # ----------------------------------------------------------------------
 
-with no_grad():
-    _, logits = teacher.forward(ds.unlabeled.inputs)
-hard = np.argmax(logits.values, axis=1)
+pool_feats, logits = teacher.predict(ds.unlabeled.inputs)
+hard = np.argmax(logits, axis=1)
 print(f"\nteacher hard labels on the pool: every one of the "
       f"{int((~ind).sum())} unseen-class samples gets forced into a seen "
       f"class (for example tag {tags[~ind][0]} -> class {hard[~ind][0]})")
@@ -71,11 +69,9 @@ print(f"  epoch {last['epoch']:2d}: kept {100 * last['kept_frac']:.0f}%")
 # With zero overlap the pool has no in-distribution half to rank against,
 # so score the detector on its own training contrast: labeled features
 # (positives) against pool features.
-with no_grad():
-    pool_feats, _ = teacher.forward(ds.unlabeled.inputs)
-    lab_feats, _ = teacher.forward(ds.labeled_x)
-scores = np.concatenate([ood.detector.scores(lab_feats.values),
-                         ood.detector.scores(pool_feats.values)])
+lab_feats, _ = teacher.predict(ds.labeled_x)
+scores = np.concatenate([ood.detector.scores(lab_feats),
+                         ood.detector.scores(pool_feats)])
 positive = np.arange(len(scores)) < len(ds.labeled_x)
 print(f"  detector ROC-AUC, labeled vs pool: "
       f"{roc_auc(scores, positive):.3f}")

@@ -25,9 +25,6 @@ from .metrics import (USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, mimicry_k
 from .models import build_pair
 from .optim import Sgd
 
-# Rows per frozen-teacher forward when its outputs are cached for a trial.
-TEACHER_CHUNK = 256
-
 
 def kd_loss(z_t, z_s, temperature):
     """Logit matching at temperature T, scaled by T^2.
@@ -50,26 +47,6 @@ def kd_loss(z_t, z_s, temperature):
 def pseudo_label(logits):
     """Hard labels from the teacher's logits; equal logits resolve to the lowest class."""
     return np.argmax(logits, axis=1)
-
-
-def teacher_outputs(teacher, x):
-    """The frozen teacher's (features, logits) arrays over the rows of ``x``.
-
-    Forwards ``TEACHER_CHUNK`` rows at a time into preallocated arrays, so
-    peak memory stays flat however many rows there are. A row's outputs
-    do not depend on the rows forwarded beside it, except that a one-row
-    product takes BLAS's matrix-vector path, which rounds differently; a
-    lone row is forwarded twice over and the copy dropped.
-    """
-    feature_dim, classes = teacher.classifier.weight.shape
-    feats, logits = np.empty((len(x), feature_dim)), np.empty((len(x), classes))
-    for start in range(0, len(x), TEACHER_CHUNK):
-        rows = x[start:start + TEACHER_CHUNK]
-        with no_grad():
-            f, z = teacher.forward(rows if len(rows) > 1 else np.repeat(rows, 2, axis=0))
-        feats[start:start + len(rows)] = f.values[:len(rows)]
-        logits[start:start + len(rows)] = z.values[:len(rows)]
-    return feats, logits
 
 
 class OodDetector:
@@ -215,8 +192,8 @@ def _trial_setup(dataset, teacher, cfg, terms, select_seed):
     run, full = cfg.run, dataset.unlabeled
     n_l = len(dataset.labeled_x)
     if not (run.use_unlabeled and len(full) > 0 and cfg.optimizer.unlabeled_batch_size > 0):
-        return None, teacher_outputs(teacher, dataset.labeled_x), None, None
-    table = teacher_outputs(teacher, np.concatenate([dataset.labeled_x, full.inputs]))
+        return None, teacher.predict(dataset.labeled_x), None, None
+    table = teacher.predict(np.concatenate([dataset.labeled_x, full.inputs]))
     chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
                               table[1][n_l:], seed=select_seed)
     table = [out[np.concatenate([np.arange(n_l), n_l + chosen])] for out in table]
@@ -301,7 +278,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
             view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
             x_u = view1
             # the teacher's outputs past the labeled rows are on view 1
-            for out, fresh in zip(teacher_out, teacher_outputs(teacher, x_u)):
+            for out, fresh in zip(teacher_out, teacher.predict(x_u)):
                 out[len(rows):] = fresh
         x = x_l[rows] if x_u is None else np.concatenate([x_l[rows], x_u])
         return stage2_loss(terms, nets, cfg, x, y_l[rows], teacher_out,
@@ -320,12 +297,11 @@ def train_with_mode(dataset, teacher, cfg, seed):
             usage.append({"epoch": epoch, **counts})
             counts.update(dict.fromkeys(counts, 0))
 
-    with no_grad():
-        _, test_logits = student.forward(dataset.test_x)
+    _, test_logits = student.predict(dataset.test_x)
     k5 = min(5, dataset.params.classes)
     return RunResult(
         records=records, usage=usage, student=student, adaptor=adaptor,
-        top1=top_k_accuracy(test_logits.values, dataset.test_y, 1),
-        top5=top_k_accuracy(test_logits.values, dataset.test_y, k5),
+        top1=top_k_accuracy(test_logits, dataset.test_y, 1),
+        top5=top_k_accuracy(test_logits, dataset.test_y, k5),
         mimicry=mimicry_kl(teacher, student, dataset.test_x),
         detector=detector if use_ood else None)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import train_with_mode
 from .config import ConfigError, format_config, load_config, override
-from .data import generate
+from .data import SettingError, generate
 from .distill import DivergenceError, pretrain_teacher
 from .fileio import atomic_open
 from .metrics import (fmt, summary_stats, write_csv, write_metrics_csv,
@@ -116,20 +116,29 @@ def _aggregates(rows):
 
 
 def read_summary(run_dir):
-    """Per-seed rows of a finished run's summary table."""
+    """Per-seed rows of a finished run's summary table; a row with the wrong
+    field count or a non-numeric value raises ``ValueError`` naming its line."""
     path = os.path.join(run_dir, "summary.csv")
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != SUMMARY_HEADER:
             raise ValueError(f"unexpected summary header in {path}: {header!r}")
-        for line in fh:
-            run_id, mode, seed, top1, top5, kl = line.strip().split(",")
-            if seed in ("mean", "std"):
-                continue
-            rows.append({"run": run_id, "mode": mode, "seed": int(seed),
-                         "top1": float(top1), "top5": float(top5),
-                         "mimicry_kl": float(kl)})
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != len(SUMMARY_COLUMNS):
+                raise ValueError(f"{path}: line {lineno}: expected {len(SUMMARY_COLUMNS)} "
+                                 f"fields, got {len(cells)}")
+            row = dict(zip(SUMMARY_COLUMNS, cells))
+            aggregate = row["seed"] in ("mean", "std")
+            for key in SUMMARY_COLUMNS[3:] if aggregate else SUMMARY_COLUMNS[2:]:
+                try:
+                    row[key] = (int if key == "seed" else float)(row[key])
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: {key} {row[key]!r} "
+                                     f"is not a number") from None
+            if not aggregate:
+                rows.append(row)
     return rows
 
 
@@ -152,10 +161,11 @@ def compare(run_dirs):
         loaded.append((d, load_config(os.path.join(d, "resolved.cfg")), read_summary(d)))
     reference = loaded[0][1].dataset
     for d, cfg, _ in loaded[1:]:
-        if cfg.dataset != reference:
-            raise ValueError(
-                f"compare: {d} ran on different dataset parameters "
-                f"(seed {cfg.dataset.seed} vs {reference.seed})")
+        for field in dataclasses.fields(reference):
+            ours, theirs = getattr(cfg.dataset, field.name), getattr(reference, field.name)
+            if ours != theirs:
+                raise ValueError(f"compare: {d} ran on different dataset parameters "
+                                 f"({field.name} {ours} vs {theirs})")
     table = []
     for d, cfg, rows in loaded:
         (m1, s1), (m5, s5), (mk, sk) = _aggregates(rows).values()
@@ -193,13 +203,22 @@ def sweep(cfg, fractions=SWEEP_FRACTIONS):
 
     Entries run sequentially in config order (each is internally
     single threaded); results land under the run's output directory as
-    ``sweep.csv`` plus a trend report. Returns (rows, trend_ok).
+    ``sweep.csv`` plus a trend report, each fraction in ``fraction_N`` (N
+    its rounded percentage). A fraction out of range or sharing its
+    directory raises ``SettingError`` before any trains. Returns (rows, trend_ok).
     """
     out = cfg.run.out
-    # every fraction's config is checked before any of them trains
-    subs = [override(cfg, unlabeled_fraction=float(fraction),
-                     out=os.path.join(out, f"fraction_{int(round(100 * fraction))}"))
-            for fraction in fractions]
+    # every fraction's config and run directory is checked before any of them trains
+    subs, taken = [], {}
+    for fraction in map(float, fractions):
+        sub = override(cfg, unlabeled_fraction=fraction)
+        name = f"fraction_{int(round(100 * fraction))}"
+        if name in taken:
+            raise SettingError("fractions", f"{fmt(fraction)} appears twice"
+                               if taken[name] == fraction else
+                               f"{fmt(taken[name])} and {fmt(fraction)} share {name}")
+        taken[name] = fraction
+        subs.append(override(sub, out=os.path.join(out, name)))
     os.makedirs(out, exist_ok=True)
     rows = []
     for fraction, sub in zip(fractions, subs):

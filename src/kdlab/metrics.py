@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .autograd import LOG_FLOOR, no_grad, softmax_values
+from .autograd import LOG_FLOOR, softmax_values
 from .fileio import atomic_open
 
 METRICS_COLUMNS = ("epoch", "ce", "srd", "reg", "total", "train_acc", "test_acc")
@@ -49,9 +49,7 @@ def top_k_accuracy(logits, labels, k=1):
 
 
 def evaluate_accuracy(net, x, y):
-    with no_grad():
-        _, logits = net.forward(x)
-    return top_k_accuracy(logits.values, y, 1)
+    return top_k_accuracy(net.predict(x)[1], y, 1)
 
 
 def mimicry_kl(teacher, student, x):
@@ -60,11 +58,8 @@ def mimicry_kl(teacher, student, x):
     Zero when the two networks predict identically; lower means the
     student tracks the teacher's full output distribution more closely.
     """
-    with no_grad():
-        _, zt = teacher.forward(x)
-        _, zs = student.forward(x)
-    pt = softmax_values(zt.values)
-    ps = softmax_values(zs.values)
+    pt = softmax_values(teacher.predict(x)[1])
+    ps = softmax_values(student.predict(x)[1])
     log_ratio = np.log(np.maximum(pt, LOG_FLOOR)) - np.log(np.maximum(ps, LOG_FLOOR))
     return float((pt * log_ratio).sum(axis=-1).mean())
 
@@ -152,9 +147,7 @@ def write_usage_curve_csv(path, rows):
 
 def feature_dump(net, x, labels, path):
     """CSV of feature rows with labels; values survive a parse round trip."""
-    with no_grad():
-        feats, _ = net.forward(x)
-    values = feats.values
+    values = net.predict(x)[0]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with atomic_open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(values.shape[1])) + ",label\n")

@@ -1,7 +1,8 @@
 """Teacher and student networks: extractor, classifier, feature adaptor.
 
 A network is a multilayer perceptron feature extractor plus a bias-free
-linear classifier; ``forward`` returns the pair (features, logits).
+linear classifier; ``forward`` returns the pair (features, logits) as
+graph tensors for training, ``predict`` the same pair as plain arrays.
 The adaptor bridges student feature width to teacher feature width so
 the teacher's classifier can score adapted student features directly.
 """
@@ -14,6 +15,9 @@ from .autograd import Tensor, batch_norm, linear, matmul, no_grad
 from .fileio import load_arrays, save_arrays
 
 CHECKPOINT_MAGIC = "kdlab-ckpt 1"
+
+# Rows per forward inside ``Network.predict``.
+PREDICT_CHUNK = 256
 
 
 def _uniform_init(rng, fan_in, shape):
@@ -28,11 +32,10 @@ class Affine:
     ``relu=True`` applies ReLU to the output inside the same graph node.
     """
 
-    def __init__(self, in_dim, out_dim, rng, trainable=True):
+    def __init__(self, in_dim, out_dim, rng):
         self.weight = Tensor(_uniform_init(rng, in_dim, (in_dim, out_dim)),
-                             requires_grad=trainable)
-        self.bias = Tensor(_uniform_init(rng, in_dim, (out_dim,)),
-                           requires_grad=trainable)
+                             requires_grad=True)
+        self.bias = Tensor(_uniform_init(rng, in_dim, (out_dim,)), requires_grad=True)
 
     def __call__(self, x, relu=False):
         return linear(x, self.weight, self.bias, relu=relu)
@@ -57,9 +60,9 @@ class BatchNorm:
     momentum = 0.9
     eps = 1e-5
 
-    def __init__(self, dim, trainable=True):
-        self.gamma = Tensor(np.ones(dim), requires_grad=trainable)
-        self.beta = Tensor(np.zeros(dim), requires_grad=trainable)
+    def __init__(self, dim):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
@@ -94,10 +97,10 @@ class FeatureExtractor:
     """
 
     def __init__(self, input_dim, hidden, feature_dim, rng,
-                 feature_norm=False, trainable=True):
+                 feature_norm=False):
         dims = [int(input_dim), *[int(h) for h in hidden], int(feature_dim)]
-        self.layers = [Affine(a, b, rng, trainable) for a, b in zip(dims, dims[1:])]
-        self.norm = BatchNorm(feature_dim, trainable) if feature_norm else None
+        self.layers = [Affine(a, b, rng) for a, b in zip(dims, dims[1:])]
+        self.norm = BatchNorm(feature_dim) if feature_norm else None
 
     def __call__(self, x, train=False):
         for layer in self.layers[:-1]:
@@ -125,13 +128,13 @@ class FeatureExtractor:
 class Classifier:
     """Bias-free linear classifier: logits = x @ W, W of shape (d, K)."""
 
-    def __init__(self, feature_dim, classes, rng, trainable=True):
+    def __init__(self, feature_dim, classes, rng):
         if classes < 2:
             raise ValueError(f"Classifier: needs at least 2 classes, got {classes}")
         if feature_dim < 1:
             raise ValueError(f"Classifier: feature dim must be positive, got {feature_dim}")
         self.weight = Tensor(_uniform_init(rng, feature_dim, (feature_dim, classes)),
-                             requires_grad=trainable)
+                             requires_grad=True)
 
     def __call__(self, x):
         return matmul(x, self.weight)
@@ -146,28 +149,43 @@ class Classifier:
 class Network:
     """Feature extractor plus classifier with a shared frozen flag.
 
-    Frozen networks build no gradient-requiring graph nodes and keep
-    their normalization statistics fixed, so their forward pass is a
+    ``set_frozen(True)`` takes every parameter out of the gradient graph
+    and fixes the normalization statistics, so a frozen network is a
     deterministic per-sample function.
     """
 
-    def __init__(self, extractor, classifier, frozen=False):
+    def __init__(self, extractor, classifier):
         self.extractor = extractor
         self.classifier = classifier
         self.frozen = False
-        if frozen:
-            self.set_frozen(True)
 
     def forward(self, x, train=False):
+        """(features, logits) tensors; the training forward.
+
+        ``train`` normalizes by batch statistics and moves the running
+        buffers, except on a frozen network, whose buffers never move.
+        """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if self.frozen:
+        features = self.extractor(x, train=train and not self.frozen)
+        return features, self.classifier(features)
+
+    def predict(self, x):
+        """(features, logits) arrays over the rows of ``x``, in evaluation mode.
+
+        Builds no graph, and forwards ``PREDICT_CHUNK`` rows at a time into
+        preallocated arrays. A row's outputs do not depend on the rows
+        beside it, except that a one-row product takes BLAS's matrix-vector
+        path, which rounds differently; a lone row is doubled instead.
+        """
+        feature_dim, classes = self.classifier.weight.shape
+        feats, logits = np.empty((len(x), feature_dim)), np.empty((len(x), classes))
+        for start in range(0, len(x), PREDICT_CHUNK):
+            rows = x[start:start + PREDICT_CHUNK]
             with no_grad():
-                features = self.extractor(x, train=False)
-                logits = self.classifier(features)
-        else:
-            features = self.extractor(x, train=train)
-            logits = self.classifier(features)
-        return features, logits
+                f, z = self.forward(rows if len(rows) > 1 else np.repeat(rows, 2, axis=0))
+            feats[start:start + len(rows)] = f.values[:len(rows)]
+            logits[start:start + len(rows)] = z.values[:len(rows)]
+        return feats, logits
 
     def parameters(self):
         return self.extractor.parameters() + self.classifier.parameters()
@@ -184,41 +202,41 @@ class Network:
         return out
 
     def load_state(self, arrays):
-        _load_into(self.state_arrays(), arrays, "Network")
+        current = self.state_arrays()
+        if set(current) != set(arrays):
+            raise ValueError(f"Network.load_state: parameter names differ: "
+                             f"{sorted(set(current) ^ set(arrays))}")
+        for name, arr in current.items():
+            new = np.asarray(arrays[name], dtype=np.float64)
+            if new.shape != arr.shape:
+                raise ValueError(
+                    f"Network.load_state: shape mismatch for {name}: "
+                    f"{new.shape} vs {arr.shape}")
+            arr[...] = new
 
 
 class Adaptor:
     """Bridge from student feature space to teacher feature space.
 
-    A single affine map to the teacher width, optional per-feature batch
+    A single affine map to the teacher width, per-feature batch
     normalization, then ReLU so outputs live in the teacher's nonnegative
     feature range.
     """
 
-    def __init__(self, student_dim, teacher_dim, rng, normalize=True):
+    def __init__(self, student_dim, teacher_dim, rng):
         self.affine = Affine(student_dim, teacher_dim, rng)
-        self.norm = BatchNorm(teacher_dim) if normalize else None
+        self.norm = BatchNorm(teacher_dim)
 
     def __call__(self, x, train=False):
-        x = self.affine(x)
-        if self.norm is not None:
-            x = self.norm(x, train)
-        return x.relu()
+        return self.norm(self.affine(x), train).relu()
 
     def parameters(self):
-        params = self.affine.parameters()
-        if self.norm is not None:
-            params += self.norm.parameters()
-        return params
+        return self.affine.parameters() + self.norm.parameters()
 
     def state_arrays(self, prefix="adaptor"):
         out = self.affine.state_arrays(f"{prefix}.affine")
-        if self.norm is not None:
-            out.update(self.norm.state_arrays(f"{prefix}.norm"))
+        out.update(self.norm.state_arrays(f"{prefix}.norm"))
         return out
-
-    def load_state(self, arrays):
-        _load_into(self.state_arrays(), arrays, "Adaptor")
 
 
 def parameter_count(input_dim, arch, classes):
@@ -233,13 +251,13 @@ def parameter_count(input_dim, arch, classes):
     return n + arch.feature_dim * classes
 
 
-def make_network(input_dim, arch, classes, seed, frozen=False):
+def make_network(input_dim, arch, classes, seed):
     """Build one network from an ``Arch`` description, deterministically."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     extractor = FeatureExtractor(input_dim, arch.hidden, arch.feature_dim, rng,
                                  feature_norm=arch.feature_norm)
     classifier = Classifier(arch.feature_dim, classes, rng)
-    return Network(extractor, classifier, frozen=frozen)
+    return Network(extractor, classifier)
 
 
 def build_pair(cfg, seed):
@@ -260,19 +278,6 @@ def build_pair(cfg, seed):
     rng = np.random.default_rng(np.random.SeedSequence(a_seed))
     adaptor = Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim, rng)
     return teacher, student, adaptor
-
-
-def _load_into(current, incoming, label):
-    if set(current) != set(incoming):
-        missing = sorted(set(current) ^ set(incoming))
-        raise ValueError(f"{label}.load_state: parameter names differ: {missing}")
-    for name, arr in current.items():
-        new = np.asarray(incoming[name], dtype=np.float64)
-        if new.shape != arr.shape:
-            raise ValueError(
-                f"{label}.load_state: shape mismatch for {name}: "
-                f"{new.shape} vs {arr.shape}")
-        arr[...] = new
 
 
 def save_checkpoint(path, named_arrays):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from helpers import CHECKED_OPS, sweep_ops
-from kdlab.autograd import Tensor, backward, matmul, no_grad
+from kdlab.autograd import Tensor, backward, matmul
 from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
@@ -213,9 +213,8 @@ def test_criterion_09_ood_filter_marginality():
         assert all(0.0 <= row["kept_frac"] <= 1.0
                    for row in usage_curve(result.usage))
         teacher = get_teacher(cfg, ds, s)
-        with no_grad():
-            feats, _ = teacher.forward(ds.unlabeled.inputs)
-        aucs.append(roc_auc(result.detector.scores(feats.values), ind))
+        feats, _ = teacher.predict(ds.unlabeled.inputs)
+        aucs.append(roc_auc(result.detector.scores(feats), ind))
     mean_delta = float(np.mean(deltas))
     gain = srd - sup
     ok = mean_delta < gain and all(a > 0.5 for a in aucs)

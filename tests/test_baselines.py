@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kdlab import baselines, metrics
-from kdlab.autograd import Tensor, backward, no_grad, softmax_values
+from kdlab import baselines, metrics, models
+from kdlab.autograd import Tensor, backward, softmax_values
 from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
-                             ood_filter, pseudo_label, stage2_loss,
-                             teacher_outputs, train_with_mode)
+                             ood_filter, pseudo_label, stage2_loss, train_with_mode)
 from kdlab.config import override, parse_config
 from kdlab.data import (BatchSampler, SettingError, augment, generate, one_hot,
                         select_unlabeled)
@@ -103,7 +102,7 @@ def test_kd_rejects_bad_arguments():
 def test_pseudo_label_reads_the_teacher_argmax():
     cfg, ds, teacher = _setup()
     x = ds.unlabeled.inputs[:20]
-    labels = pseudo_label(teacher_outputs(teacher, x)[1])
+    labels = pseudo_label(teacher.predict(x)[1])
     _, logits = teacher.forward(x)
     assert np.array_equal(labels, np.argmax(logits.values, axis=1))
     assert labels.min() >= 0 and labels.max() < cfg.dataset.classes
@@ -133,11 +132,8 @@ def _dac_step(cfg, ds, student, teacher, x_u, strength, rng):
     view2 = augment(x_u, strength, rng)
     x = np.concatenate([ds.labeled_x[:8], view1])
     y = one_hot(ds.labeled_y[:8], cfg.dataset.classes)
-    with no_grad():
-        feats_t, z_t = teacher.forward(x)
     total, (ce, _, _) = stage2_loss(("dac",), (teacher, student, None), cfg,
-                                    x, y, (feats_t.values, z_t.values),
-                                    view2=view2)
+                                    x, y, teacher.predict(x), view2=view2)
     return total.item() - ce
 
 
@@ -235,19 +231,26 @@ def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
     Standard preset: its teacher, 800 labeled rows, a 2040-row pool, steps
     of 32 labeled + 64 pool rows (+dac forwards the 64 pool rows alone).
     The table forwards the labeled rows and the pool together, so its
-    chunks straddle the two; it must equal forwarding each alone. A BLAS
-    whose per-row results depend on the rows beside them fails here
-    instead of changing artifact bytes.
+    chunks straddle the two; it must equal forwarding each alone. Chunked
+    evaluation must equal one whole-batch forward on the labeled and test
+    rows, for the teacher and for a student. A BLAS whose per-row results
+    depend on the rows beside them fails here instead of changing
+    artifact bytes.
     """
     cfg, ds, teacher = _preset_teacher()
     pool = ds.unlabeled.inputs
     n_l = len(ds.labeled_x)
-    assert (n_l, len(pool)) == (800, 2040)
-    feats, z_all = teacher_outputs(teacher, np.concatenate([ds.labeled_x, pool]))
-    for alone, joint in zip((*teacher_outputs(teacher, ds.labeled_x),
-                             *teacher_outputs(teacher, pool)),
+    assert (n_l, len(pool), len(ds.test_x)) == (800, 2040, 1200)
+    feats, z_all = teacher.predict(np.concatenate([ds.labeled_x, pool]))
+    for alone, joint in zip((*teacher.predict(ds.labeled_x), *teacher.predict(pool)),
                             (feats[:n_l], z_all[:n_l], feats[n_l:], z_all[n_l:])):
         assert np.array_equal(alone, joint)
+    _, student, _ = build_pair(cfg, 1)
+    student.forward(ds.labeled_x[:96], train=True)  # move the batch-norm buffers
+    for net in (teacher, student):
+        for x in (ds.labeled_x, ds.test_x):
+            f, z = net.forward(x)
+            assert all(map(np.array_equal, net.predict(x), (f.values, z.values)))
     o = cfg.optimizer
     sampler = BatchSampler(o.batch_size, o.unlabeled_batch_size, seed=0)
     for l_idx, u_idx in sampler.epoch_batches(n_l, len(pool), epoch=0):
@@ -265,9 +268,9 @@ def test_a_lone_row_gets_the_outputs_it_has_inside_a_batch(monkeypatch):
     cfg, ds, teacher = _preset_teacher()
     x = ds.unlabeled.inputs[:9]
     f, z = teacher.forward(x)
-    assert np.array_equal(teacher_outputs(teacher, x[:1])[1], z.values[:1])
-    monkeypatch.setattr(baselines, "TEACHER_CHUNK", 4)  # chunks of 4, 4 and 1
-    feats, logits = teacher_outputs(teacher, x)
+    assert np.array_equal(teacher.predict(x[:1])[1], z.values[:1])
+    monkeypatch.setattr(models, "PREDICT_CHUNK", 4)  # chunks of 4, 4 and 1
+    feats, logits = teacher.predict(x)
     assert np.array_equal(feats, f.values)
     assert np.array_equal(logits, z.values)
 

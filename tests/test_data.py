@@ -169,7 +169,8 @@ def test_teacher_score_matches_confidence_sort():
 
     ds = generate(SMALL)
     teacher = make_network(SMALL.input_dim, ArchParams((12, 12), 6, True),
-                           SMALL.classes, seed=7, frozen=True)
+                           SMALL.classes, seed=7)
+    teacher.set_frozen(True)
     _, logits = teacher.forward(ds.unlabeled.inputs)
     conf = softmax_values(logits.values).max(axis=1)
     keep = round(0.5 * len(ds.unlabeled))

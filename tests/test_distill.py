@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import composed_cross_entropy, composed_row_distance
-from kdlab.autograd import Tensor, backward, matmul, no_grad, softmax_values
+from kdlab.autograd import Tensor, backward, matmul, softmax_values
 from kdlab.baselines import MODES, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
@@ -144,9 +144,7 @@ def _srd(alpha=1.0, beta=1.0):
 
 
 def _srd_loss(nets, x, y, cfg):
-    with no_grad():
-        feats_t, z_t = nets[0].forward(x)
-    return stage2_loss(("srd",), nets, cfg, x, y, (feats_t.values, z_t.values))
+    return stage2_loss(("srd",), nets, cfg, x, y, nets[0].predict(x))
 
 
 def test_empty_unlabeled_equals_the_hand_composed_srd_step():
@@ -160,13 +158,12 @@ def test_empty_unlabeled_equals_the_hand_composed_srd_step():
     backward(loss_a)
 
     teacher, student, adaptor = nets_b = _fresh(5)
-    with no_grad():
-        feats_t, z_t = teacher.forward(x)
+    feats_t, z_t = teacher.predict(x)
     feats_s, logits_s = student.forward(x, train=True)
     x_a = adaptor(feats_s, train=True)
     loss_b = (composed_cross_entropy(logits_s, y)
-              + 1.0 * composed_row_distance(Tensor(z_t.values), teacher.classifier(x_a))
-              + 1.0 * composed_row_distance(Tensor(feats_t.values), x_a, root=True))
+              + 1.0 * composed_row_distance(Tensor(z_t), teacher.classifier(x_a))
+              + 1.0 * composed_row_distance(Tensor(feats_t), x_a, root=True))
     backward(loss_b)
 
     assert loss_a.item() == loss_b.item()

@@ -11,7 +11,7 @@ import pytest
 import kdlab
 from kdlab import metrics
 from kdlab.config import ConfigError, override, parse_config
-from kdlab.data import generate
+from kdlab.data import SettingError, generate
 from kdlab.distill import DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
@@ -218,13 +218,31 @@ def test_compare_recomputes_aggregates_per_mode(tmp_path):
 
 def test_compare_refuses_mismatched_datasets(tmp_path):
     run(_cfg(tmp_path, "a"))
-    other = parse_config(TINY.replace("seed = 4", "seed = 9"))
-    run(override(other, out=str(tmp_path / "b"),
-                 cache_dir=str(tmp_path / "cache2")))
-    with pytest.raises(ValueError):
-        compare([str(tmp_path / "a"), str(tmp_path / "b")])
+    # the message names the first dataset field that differs, with both values
+    for name, field, old, new in (("b", "seed", 4, 9), ("c", "classes", 4, 5)):
+        other = parse_config(TINY.replace(f"{field} = {old}", f"{field} = {new}"))
+        run(override(other, out=str(tmp_path / name),
+                     cache_dir=str(tmp_path / "cache2")))
+        with pytest.raises(ValueError, match=rf"{name} ran on different dataset "
+                                             rf"parameters \({field} {new} vs {old}\)"):
+            compare([str(tmp_path / "a"), str(tmp_path / name)])
     with pytest.raises(ConfigError, match="at least two"):
         compare([str(tmp_path / "a")])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("srd-seed0,srd,0", "line 3: expected 6 fields, got 3"),
+    ("srd-seed0,srd,0,0.9,1,0.1,7", "line 3: expected 6 fields, got 7"),
+    ("srd-seed0,srd,0,0.9,high,0.1", "line 3: top5 'high' is not a number"),
+    ("srd-seed0,srd,zero,0.9,1,0.1", "line 3: seed 'zero' is not a number"),
+    ("srd,srd,mean,0.9,1,", "line 3: mimicry_kl '' is not a number"),
+], ids=["short", "long", "top5", "seed", "aggregate"])
+def test_read_summary_names_the_path_and_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "summary.csv"
+    path.write_text(f"{SUMMARY_HEADER}\nsrd-seed1,srd,1,0.5,1,0.2\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_summary(str(tmp_path))
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_compare_requires_finished_runs(tmp_path):
@@ -257,6 +275,17 @@ def test_sweep_reports_each_fraction(tmp_path):
     assert ("yes" in report) == trend_ok
     # each fraction ran as its own full run
     assert os.path.exists(out / "fraction_50" / "summary.csv")
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ((0.25, 0.254), "0.25 and 0.254 share fraction_25"),
+    ((0.5, 1.0, 0.5), "0.5 appears twice"),
+    ((0.5, float("nan")), r"must lie in \(0, 1\], got nan"),
+], ids=["shared-directory", "repeated", "nan"])
+def test_sweep_rejects_fractions_that_share_a_run_directory(tmp_path, fractions, message):
+    with pytest.raises(SettingError, match=message):
+        sweep(_cfg(tmp_path, "sweep", seeds=(0,)), fractions)
+    assert os.listdir(tmp_path) == []
 
 
 # the command line
@@ -305,6 +334,13 @@ def test_cli_sweep_checks_every_fraction_before_training(tmp_path):
     assert code == 2, err
     assert err.startswith("config error: --fractions: must lie in (0, 1], got 1.5")
     # no teacher was cached and no fraction ran
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+    # fractions that would write one run directory are refused the same way
+    code, out, err = _cli(["sweep", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "sweep"),
+                           "--fractions", "0.25,0.254,0.5,0.5"], cwd=tmp_path)
+    assert code == 2, err
+    assert err == "config error: --fractions: 0.25 and 0.254 share fraction_25\n"
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
