@@ -5,7 +5,7 @@ More unlabeled data, more accuracy
 Runs the harness sweep over pool fractions with three seeds per point
 and prints the curve for both selection policies. Artifacts (per-fraction
 run directories, sweep.csv, sweep_report.txt) land under runs/demo-sweep.
-About three minutes; the shipped claim uses five seeds and a 0.2 point
+About a minute on a 2-vCPU machine; the shipped claim uses five seeds and a 0.2 point
 slack, so a small dip here is noise, not a contradiction.
 """
 

@@ -177,32 +177,34 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
 
 
 def _trial_setup(dataset, teacher, cfg, terms, select_seed):
-    """The selected pool (None if no step draws unlabeled rows), the frozen
-    teacher's (features, logits) table, and the pool's pseudo labels and weight.
+    """The trial's one row space: the labeled rows, then the selected pool rows.
 
-    The table's rows are the labeled rows, then the selected pool rows, so
-    labeled row ``i`` is table row ``i`` and pool row ``j`` is ``n_l + j``.
-    A frozen teacher's outputs on a row never change, so in every mode with
-    terms the labeled rows and the whole pool are forwarded once, together;
-    the selection policy and the pseudo labels read the pool's logits there.
-    ``supervised`` has no terms and forwards nothing.
+    Returns the inputs, the frozen teacher's (features, logits) table over
+    them (None when ``terms`` is empty: ``supervised`` forwards nothing),
+    the selected rows' hidden in-distribution flags (read only for the
+    +ood usage counts), and the pool's pseudo labels and weight. Labeled
+    row ``i`` is row ``i`` and selected pool row ``j`` is row ``n_l + j``.
+    A frozen teacher's outputs on a row never change, so the labeled rows
+    and the whole pool are forwarded once, together; the selection policy
+    and the pseudo labels read the pool's logits there.
     """
+    x, full = dataset.labeled_x, dataset.unlabeled
+    n_l, run = len(x), cfg.run
     if not terms:
-        return None, None, None, None
-    run, full = cfg.run, dataset.unlabeled
-    n_l = len(dataset.labeled_x)
+        return x, None, None, None, None
     if not (run.use_unlabeled and len(full) > 0 and cfg.optimizer.unlabeled_batch_size > 0):
-        return None, teacher.predict(dataset.labeled_x), None, None
-    table = teacher.predict(np.concatenate([dataset.labeled_x, full.inputs]))
+        return x, teacher.predict(x), None, None, None
+    x = np.concatenate([x, full.inputs])
+    table = teacher.predict(x)
     chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
                               table[1][n_l:], seed=select_seed)
-    table = [out[np.concatenate([np.arange(n_l), n_l + chosen])] for out in table]
-    pool = full.subset(chosen)
+    rows = np.concatenate([np.arange(n_l), n_l + chosen])
+    x, table = x[rows], [out[rows] for out in table]
     pseudo_y = pseudo_weight = None
     if "pseudo" in terms:
         pseudo_y = pseudo_label(table[1][n_l:])
-        pseudo_weight = cfg.baselines.pseudo_weight * len(pool) / n_l
-    return pool, table, pseudo_y, pseudo_weight
+        pseudo_weight = cfg.baselines.pseudo_weight * len(chosen) / n_l
+    return x, table, full.eval_view()[1][chosen], pseudo_y, pseudo_weight
 
 
 def _ood_step(detector, det_opt, det_rng, feats_l, feats_u, ind_flags, usage):
@@ -254,12 +256,10 @@ def train_with_mode(dataset, teacher, cfg, seed):
                            np.random.default_rng(streams[3]),
                            threshold=cfg.baselines.ood_threshold)
     det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
-    pool, table, pseudo_y, pseudo_weight = _trial_setup(
+    x_all, table, pool_ind, pseudo_y, pseudo_weight = _trial_setup(
         dataset, teacher, cfg, terms, select_seed)
-    pool_ind = pool.eval_view()[1] if pool is not None else None
     counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
-    x_l = dataset.labeled_x
-    n_l = len(x_l)
+    n_l = len(dataset.labeled_x)
     y_l = one_hot(dataset.labeled_y, dataset.params.classes)
 
     def step(rows, u_idx):
@@ -267,20 +267,17 @@ def train_with_mode(dataset, teacher, cfg, seed):
             keep = _ood_step(detector, det_opt, det_rng, table[0][rows],
                              table[0][n_l + u_idx], pool_ind[u_idx], counts)
             u_idx = u_idx[keep]
-        x_u = pool.inputs[u_idx] if len(u_idx) else None
-        teacher_out = None
-        if table is not None:
-            table_rows = np.concatenate([rows, n_l + u_idx])
-            teacher_out = [out[table_rows] for out in table]
+        idx = np.concatenate([rows, n_l + u_idx])
+        x = x_all[idx]
+        teacher_out = None if table is None else [out[idx] for out in table]
         view2 = None
-        if use_dac and x_u is not None:
-            view1 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
-            view2 = augment(x_u, cfg.baselines.dac_strength, aug_rng)
-            x_u = view1
-            # the teacher's outputs past the labeled rows are on view 1
-            for out, fresh in zip(teacher_out, teacher.predict(x_u)):
-                out[len(rows):] = fresh
-        x = x_l[rows] if x_u is None else np.concatenate([x_l[rows], x_u])
+        if use_dac and len(u_idx):
+            # Pool rows become view 1, and the teacher's outputs there follow.
+            n = len(rows)
+            x[n:] = augment(x[n:], cfg.baselines.dac_strength, aug_rng)
+            view2 = augment(x_all[idx[n:]], cfg.baselines.dac_strength, aug_rng)
+            for out, fresh in zip(teacher_out, teacher.predict(x[n:])):
+                out[n:] = fresh
         return stage2_loss(terms, nets, cfg, x, y_l[rows], teacher_out,
                            pseudo_y=None if pseudo_y is None else pseudo_y[u_idx],
                            pseudo_weight=pseudo_weight, view2=view2)
@@ -291,7 +288,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
     records, usage = [], []
     run_id = f"{mode}-seed{seed}"
     for epoch, means in train_epochs(mode, seed, params, cfg.optimizer, cfg.run.epochs,
-                                     n_l, step, n_pool=0 if pool is None else len(pool)):
+                                     n_l, step, n_pool=len(x_all) - n_l):
         records.append(_epoch_record(run_id, mode, seed, epoch, means, student, dataset))
         if use_ood:
             usage.append({"epoch": epoch, **counts})

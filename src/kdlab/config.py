@@ -84,6 +84,9 @@ class BaselineParams:
     detector_lr: float = 0.05
 
     def __post_init__(self):
+        for key in ("kd_weight", "dac_weight", "dac_strength", "pseudo_weight"):
+            if getattr(self, key) < 0.0:
+                raise SettingError(key, "must be nonnegative")
         if self.detector_lr <= 0.0:
             raise SettingError("detector_lr", "must be positive")
         if not 0.0 <= self.ood_threshold <= 1.0:

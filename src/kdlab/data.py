@@ -105,12 +105,6 @@ class UnlabeledPool:
         """(class tags, in-distribution flags); evaluation-only access."""
         return self._class_tags, self._ind_flags
 
-    def subset(self, indices):
-        indices = np.asarray(indices)
-        return UnlabeledPool(self.inputs[indices],
-                             self._class_tags[indices],
-                             self._ind_flags[indices])
-
 
 @dataclasses.dataclass
 class OpenSetDataset:

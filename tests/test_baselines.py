@@ -321,6 +321,92 @@ def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):
         assert forwards(mode, 3) == [8] * (3 * steps) + [88], mode
 
 
+def _steps_of(monkeypatch, ds, teacher, cfg):
+    """One shipping ``train_with_mode`` run, and what its steps saw: each
+    step's (x, y, teacher_out, pseudo_y, view2), each ``augment`` draw as
+    (input, output), and each ood filter call as (features, kept)."""
+    steps, views, filtered = [], [], []
+
+    def spy_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None, pseudo_weight=0.0,
+                 view2=None):
+        steps.append((x.copy(), y, [out.copy() for out in teacher_out], pseudo_y, view2))
+        return stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=pseudo_y,
+                           pseudo_weight=pseudo_weight, view2=view2)
+
+    def spy_augment(x, strength, rng):
+        out = augment(x, strength, rng)
+        views.append((x.copy(), out))
+        return out
+
+    def spy_filter(detector, features, ind_flags):
+        kept, stats = ood_filter(detector, features, ind_flags)
+        filtered.append((features, kept))
+        return kept, stats
+
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "stage2_loss", spy_loss)
+        m.setattr(baselines, "augment", spy_augment)
+        m.setattr(baselines, "ood_filter", spy_filter)
+        result = train_with_mode(ds, teacher, cfg, 0)
+    return result, steps, views, filtered
+
+
+def test_each_step_gathers_inputs_and_teacher_outputs_with_one_index(monkeypatch):
+    """On a teacher_score half pool, every step's teacher outputs are the
+    teacher's outputs on its inputs, row for row; labeled rows keep their
+    labels, pool rows come from the selected half, pseudo labels are the
+    teacher's argmax there, and +dac's pool rows hold view 1. Under +ood the
+    kept rows are the step's pool inputs, and each epoch's usage counts
+    recount from the hidden flags of the rows the steps drew."""
+    cfg, ds, teacher = _setup(selection_policy="teacher_score", unlabeled_fraction=0.5)
+    pool_feats, pool_logits = teacher.predict(ds.unlabeled.inputs)
+    chosen = set(select_unlabeled(ds.unlabeled, 0.5, "teacher_score", pool_logits))
+    assert len(chosen) == len(ds.unlabeled) // 2
+    _, hidden = ds.unlabeled.eval_view()
+    label_of = {x.tobytes(): y for x, y in zip(ds.labeled_x, ds.labeled_y)}
+    pool_row = {x.tobytes(): j for j, x in enumerate(ds.unlabeled.inputs)}
+    feats_row = {f.tobytes(): j for j, f in enumerate(pool_feats)}
+    per_epoch = BatchSampler(cfg.optimizer.batch_size, 0, 0).epoch_length(len(ds.labeled_x))
+
+    def rows_of(index, arr):
+        return np.array([index[r.tobytes()] for r in arr], dtype=np.int64)
+
+    for mode in ("srd+ood", "pseudo_label", "srd+dac"):
+        result, steps, views, filtered = _steps_of(
+            monkeypatch, ds, teacher, override(cfg, mode=mode))
+        assert len(steps) == cfg.run.epochs * per_epoch, mode
+        for i, (x, y, teacher_out, pseudo_y, view2) in enumerate(steps):
+            n = len(y)
+            assert np.array_equal(np.argmax(y, axis=1), rows_of(label_of, x[:n])), mode
+            assert all(map(np.array_equal, teacher.predict(x), teacher_out)), mode
+            if mode == "srd+dac":
+                (x_u, view1), (again, drawn2) = views[2 * i:2 * i + 2]
+                assert np.array_equal(x[n:], view1)
+                assert np.array_equal(again, x_u) and np.array_equal(view2, drawn2)
+            else:
+                x_u = x[n:]
+            assert set(rows_of(pool_row, x_u)) <= chosen, mode
+            if mode == "pseudo_label":
+                assert np.array_equal(pseudo_y, pseudo_label(teacher_out[1][n:]))
+        if mode != "srd+ood":
+            continue
+        drawn = [rows_of(feats_row, feats) for feats, _ in filtered]
+        for (x, y, *_), rows, (_, kept) in zip(steps, drawn, filtered, strict=True):
+            assert set(rows) <= chosen
+            assert np.array_equal(x[len(y):], ds.unlabeled.inputs[rows[kept]])
+        every = np.concatenate([kept for _, kept in filtered])
+        assert 0 < every.sum() < len(every), "the filter should keep some rows, not all"
+        assert len(result.usage) == cfg.run.epochs
+        for epoch, row in enumerate(result.usage):
+            span = slice(epoch * per_epoch, (epoch + 1) * per_epoch)
+            k = np.concatenate([kept for _, kept in filtered[span]])
+            h = hidden[np.concatenate(drawn[span])]
+            assert row == {"epoch": epoch,
+                           "kept_ind": int((k & h).sum()), "kept_ood": int((k & ~h).sum()),
+                           "dropped_ind": int((~k & h).sum()),
+                           "dropped_ood": int((~k & ~h).sum())}
+
+
 def test_zero_epochs_return_the_initial_student():
     cfg, ds, teacher = _setup(epochs=0)
     _, init, _ = build_pair(cfg, 0)

@@ -97,6 +97,10 @@ def test_override_checks_what_it_sets(updates, key, message):
     ("optimizer", "unlabeled_batch_size", -1),
     ("baselines", "detector_lr", 0.0),
     ("baselines", "ood_threshold", 1.5),
+    ("baselines", "kd_weight", -1.0),
+    ("baselines", "dac_weight", -1.0),
+    ("baselines", "pseudo_weight", -1.0),
+    ("baselines", "dac_strength", -1.0),
 ])
 def test_every_part_checks_its_own_fields(part, key, value):
     with pytest.raises(SettingError) as err:
@@ -188,7 +192,11 @@ def test_out_of_range_values_carry_their_line():
              ("[run]\nteacher_floor = 2\n", 2),
              ("[optimizer]\nlr = nan\n", 2),
              ("[distill]\n\nalpha = nan\n", 3),
-             ("[distill]\nkd_weight = inf\n", 2)]
+             ("[distill]\nkd_weight = inf\n", 2),
+             ("[distill]\nkd_weight = -1\n", 2),
+             ("[distill]\n\ndac_weight = -1\n", 3),
+             ("[distill]\npseudo_weight = -1.0\n", 2),
+             ("[distill]\ndac_strength = -0.5\n", 2)]
     for text, line in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)

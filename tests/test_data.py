@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kdlab.config import ArchParams
-from kdlab.data import (BatchSampler, DatasetParams, augment, export_csv,
-                        generate, load_dataset, one_hot, save_dataset,
+from kdlab.data import (BatchSampler, DatasetParams, UnlabeledPool, augment,
+                        export_csv, generate, load_dataset, one_hot, save_dataset,
                         select_unlabeled)
 from kdlab.models import make_network
 
@@ -95,17 +95,6 @@ def test_param_validation():
         generate(dataclasses.replace(SMALL, unlabeled_per_class=0))
 
 
-def test_subset_keeps_inputs_and_hidden_rows_aligned():
-    ds = generate(SMALL)
-    idx = np.array([3, 11, 20])
-    sub = ds.unlabeled.subset(idx)
-    tags, flags = ds.unlabeled.eval_view()
-    stags, sflags = sub.eval_view()
-    assert np.array_equal(sub.inputs, ds.unlabeled.inputs[idx])
-    assert np.array_equal(stags, tags[idx])
-    assert np.array_equal(sflags, flags[idx])
-
-
 def test_one_hot_rows():
     y = one_hot(np.array([2, 0]), 4)
     assert np.array_equal(y, [[0, 0, 1, 0], [1, 0, 0, 0]])
@@ -182,7 +171,8 @@ def test_teacher_score_matches_confidence_sort():
 
 def test_selection_rejects_bad_arguments():
     ds = generate(SMALL)
-    empty = ds.unlabeled.subset(np.zeros(0, dtype=int))
+    empty = UnlabeledPool(np.zeros((0, SMALL.input_dim)), np.zeros(0, dtype=np.int64),
+                          np.zeros(0, dtype=bool))
     with pytest.raises(ValueError):
         select_unlabeled(empty, 0.5, "random")
     with pytest.raises(ValueError):
