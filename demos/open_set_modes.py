@@ -6,7 +6,7 @@ On a pool whose samples mostly come from classes the labels never name,
 pseudo-labeling force-fits every pool point into a seen class and drags
 accuracy below the labeled-only baseline. Distillation reads the teacher's
 soft beliefs instead and survives; the OOD filter on top shows its usage
-curve and detector quality. One seed, about 10 seconds on a 2-vCPU
+curve and detector quality. One seed, about 13 seconds on a 2-vCPU
 machine.
 """
 

@@ -13,6 +13,14 @@ Everything runs on a minimal float64 autodiff engine in ``autograd``;
 seeded runs replay bit for bit.
 """
 
+import os
+
+# One BLAS thread unless the environment sets one: at kdlab's shapes a second
+# costs more than it gives. Too late in a process that imported numpy first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .autograd import (LOG_FLOOR, NumericError, ShapeError, Tensor, backward,
                        batch_norm, cosine_loss, l2_distance, linear, logistic_loss,
                        matmul, mse, no_grad, relu, sigmoid, slice_rows, softmax,

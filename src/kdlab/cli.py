@@ -71,33 +71,24 @@ def _build_parser():
     return parser
 
 
-# run field -> the flag that overrides it
-_FLAGS = {"seeds": "--seed", "out": "--out", "mode": "--mode",
-          "unlabeled_fraction": "--fraction", "selection_policy": "--policy"}
+# run field -> the argument that overrides it; its flag is "--" + the name
+_FLAGS = {"seeds": "seed", "out": "out", "mode": "mode",
+          "unlabeled_fraction": "fraction", "selection_policy": "policy"}
 
 
 def _load_cfg(args):
+    text = ""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             text = fh.read()
-    else:
-        text = ""
-    cfg = parse_config(text)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seeds"] = (args.seed,)
-    if getattr(args, "out", None):
-        updates["out"] = args.out
-    if getattr(args, "mode", None):
-        updates["mode"] = args.mode
-    if getattr(args, "fraction", None) is not None:
-        updates["unlabeled_fraction"] = args.fraction
-    if getattr(args, "policy", None):
-        updates["selection_policy"] = args.policy
+    updates = {field: getattr(args, name) for field, name in _FLAGS.items()
+               if getattr(args, name, None) not in (None, "")}
+    if "seeds" in updates:
+        updates["seeds"] = (updates["seeds"],)
     try:
-        return override(cfg, **updates)
+        return override(parse_config(text), **updates)
     except SettingError as exc:
-        raise ConfigError(f"{_FLAGS[exc.key]}: {exc.message}") from None
+        raise ConfigError(f"--{_FLAGS[exc.key]}: {exc.message}") from None
 
 
 def _cmd_generate_data(args):

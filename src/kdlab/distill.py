@@ -41,7 +41,7 @@ MODES = {
 
 
 class AccuracyFloorError(RuntimeError):
-    """Pretraining missed the configured held-out accuracy floor."""
+    """A pretrained teacher missed the configured held-out accuracy floor."""
 
     def __init__(self, accuracy, floor):
         self.accuracy = accuracy
@@ -165,17 +165,14 @@ def train_epochs(mode, seed, params, optim_params, epochs, n_labeled, step, n_po
         yield epoch, {k: v / steps for k, v in sums.items()}
 
 
-def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
+def pretrain_teacher(dataset, net, optim_params, epochs, seed=0):
     """Stage 1: supervised training of the teacher on the labeled pool.
 
-    Trains with cross-entropy under the configured schedule, checks the
-    held-out (test pool) accuracy against ``floor``, and returns the
-    network frozen. Zero epochs returns the initialized network, frozen;
-    a missed floor raises ``AccuracyFloorError`` with the measured value,
-    and non-finite logits raise ``DivergenceError`` naming ``seed``.
+    Trains ``net`` in place with cross-entropy under the configured
+    schedule and returns it; zero epochs leave it at its initialization.
+    Non-finite logits raise ``DivergenceError`` naming ``seed``. Freezing
+    the teacher and checking its accuracy floor are ``harness.get_teacher``'s.
     """
-    from .metrics import evaluate_accuracy
-
     x = dataset.labeled_x
     y = one_hot(dataset.labeled_y, dataset.params.classes)
 
@@ -187,9 +184,4 @@ def pretrain_teacher(dataset, net, optim_params, epochs, floor=0.0, seed=0):
     for _ in train_epochs("pretrain", seed, net.parameters(), optim_params, epochs,
                           len(x), step):
         pass
-    if epochs > 0:
-        accuracy = evaluate_accuracy(net, dataset.test_x, dataset.test_y)
-        if accuracy < floor:
-            raise AccuracyFloorError(accuracy, floor)
-    net.set_frozen(True)
     return net

@@ -6,9 +6,9 @@ and a summary table with per-seed rows plus mean and std aggregates.
 Nothing written depends on wall time, so identical configurations
 produce byte-identical files.
 
-Teacher pretraining is cached under a key derived from everything stage
-1 depends on, so unrelated stage-2 settings (mode, fractions, policies)
-reuse the same pretrained teachers.
+Teacher pretraining is cached under a key derived from exactly what stage
+1 reads, so unrelated settings (mode, fractions, policies, the unlabeled
+batch size, the accuracy floor) reuse the same pretrained teachers.
 """
 
 from __future__ import annotations
@@ -22,26 +22,27 @@ import numpy as np
 from .baselines import train_with_mode
 from .config import ConfigError, format_config, load_config, override
 from .data import SettingError, generate
-from .distill import DivergenceError, pretrain_teacher
+from .distill import AccuracyFloorError, DivergenceError, pretrain_teacher
 from .fileio import atomic_open
-from .metrics import (fmt, summary_stats, write_csv, write_metrics_csv,
-                      write_usage_csv, write_usage_curve_csv)
+from .metrics import (evaluate_accuracy, fmt, summary_stats, write_csv,
+                      write_metrics_csv, write_usage_csv, write_usage_curve_csv)
 from .models import build_pair, load_checkpoint, save_checkpoint
 
 SUMMARY_COLUMNS = ("run", "mode", "seed", "top1", "top5", "mimicry_kl")
 SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
 
 
+def _stage1_inputs(cfg):
+    """What stage 1 reads: dataset, teacher shape, optimizer (no pool rows), epochs."""
+    return (cfg.dataset, cfg.teacher,
+            dataclasses.replace(cfg.optimizer, unlabeled_batch_size=0),
+            cfg.run.teacher_epochs)
+
+
 def teacher_cache_key(cfg, seed):
-    """Everything stage 1 depends on, hashed."""
-    payload = repr((
-        dataclasses.asdict(cfg.dataset),
-        dataclasses.asdict(cfg.teacher),
-        dataclasses.asdict(cfg.optimizer),
-        cfg.run.teacher_epochs,
-        cfg.run.teacher_floor,
-        int(seed),
-    ))
+    """The stage-1 inputs and the trial seed, hashed."""
+    *parts, epochs = _stage1_inputs(cfg)
+    payload = repr((*map(dataclasses.asdict, parts), epochs, int(seed)))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -51,23 +52,30 @@ def teacher_path(cfg, seed):
 
 
 def get_teacher(cfg, dataset, seed):
-    """Load the cached pretrained teacher for this trial, or train it."""
+    """This trial's teacher, loaded from the cache or trained and cached, frozen.
+    Either way, after nonzero teacher epochs, held-out accuracy below a nonzero
+    ``teacher_floor`` raises ``AccuracyFloorError``; the teacher stays cached."""
     os.makedirs(cfg.run.cache_dir, exist_ok=True)
     path = teacher_path(cfg, seed)
     teacher, _, _ = build_pair(cfg, seed)
-    if os.path.exists(path):
+    cached = os.path.exists(path)
+    if cached:
         teacher.load_state(load_checkpoint(path))
-        teacher.set_frozen(True)
-        return teacher
-    stage1_seed = int(np.random.SeedSequence([int(seed), 0x7EAC]).generate_state(1)[0])
-    try:
-        pretrain_teacher(dataset, teacher, cfg.optimizer, cfg.run.teacher_epochs,
-                         floor=cfg.run.teacher_floor, seed=stage1_seed)
-    except DivergenceError as exc:
-        # Name the trial seed the config gave, not the batch-order seed derived from it.
-        raise DivergenceError(exc.mode, seed, exc.epoch, exc.step, exc.term,
-                              exc.detail) from exc
-    save_checkpoint(path, teacher.state_arrays())
+    else:
+        _, _, optim_params, epochs = _stage1_inputs(cfg)
+        stage1_seed = int(np.random.SeedSequence([int(seed), 0x7EAC]).generate_state(1)[0])
+        try:
+            pretrain_teacher(dataset, teacher, optim_params, epochs, seed=stage1_seed)
+        except DivergenceError as exc:
+            # Name the trial seed the config gave, not the batch-order seed derived from it.
+            raise DivergenceError(exc.mode, seed, exc.epoch, exc.step, exc.term,
+                                  exc.detail) from exc
+        save_checkpoint(path, teacher.state_arrays())
+    teacher.set_frozen(True)
+    if cfg.run.teacher_epochs and cfg.run.teacher_floor:
+        accuracy = evaluate_accuracy(teacher, dataset.test_x, dataset.test_y)
+        if accuracy < cfg.run.teacher_floor:
+            raise AccuracyFloorError(accuracy, cfg.run.teacher_floor)
     return teacher
 
 

@@ -53,6 +53,15 @@ MUTANTS = {
         ("optim.py", "np.multiply(self.weight_decay, w, out=s)", "np.multiply(0.0, w, out=s)"),
     "sampler reuses the unlabeled order once the pool runs out":
         ("data.py", "                    cycle = rng.permutation(n_unlabeled)\n", ""),
+    "teacher floor checked only for freshly trained teachers":
+        ("harness.py", "if cfg.run.teacher_epochs and cfg.run.teacher_floor:",
+         "if cfg.run.teacher_epochs and cfg.run.teacher_floor and not cached:"),
+    "teacher cache key ignores the teacher epochs":
+        ("harness.py", "parts), epochs, int(seed)))", "parts), int(seed)))"),
+    "teacher cache key ignores the trial seed":
+        ("harness.py", "epochs, int(seed)))", "epochs))"),
+    "cached teacher handed out unfrozen":
+        ("harness.py", "teacher.set_frozen(True)", "teacher.set_frozen(not cached)"),
 }
 
 

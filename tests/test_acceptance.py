@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 from helpers import CHECKED_OPS, sweep_ops
+from test_digests import PINS, fingerprint, sha16, skip_unless_pinned_here
 from kdlab.autograd import Tensor, backward, matmul
 from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
 from kdlab.distill import srd_loss
-from kdlab.harness import get_teacher, run, sweep
+from kdlab.harness import get_teacher, run, sweep, teacher_path
 from kdlab.metrics import roc_auc, usage_curve, write_usage_curve_csv
 from kdlab.models import Classifier
 from kdlab.optim import Sgd
@@ -262,3 +263,15 @@ def test_criterion_12_byte_identical_reruns():
         == open(os.path.join(paths[1], f), "rb").read() for f in files)
     _report(12, same, "standard preset re-run: metrics, summary and "
                       "checkpoint bytes identical across output directories")
+
+
+# sha256[:16] of the standard preset's seed-0 teacher, unchanged since it was
+# first cached; pinned under the fingerprint of tests/artifact_digests.json
+STANDARD_TEACHER = "3d87c69c2e4570ac"
+
+
+def test_standard_seed0_teacher_replays_its_pinned_bytes():
+    skip_unless_pinned_here(PINS, fingerprint())
+    cfg = _preset("standard")
+    get_teacher(cfg, _dataset(cfg), 0)  # cached by the criteria above when they ran
+    assert sha16(teacher_path(cfg, 0)) == STANDARD_TEACHER

@@ -51,8 +51,8 @@ def _setup(text=TINY, **run_updates):
     cfg = override(parse_config(text), **run_updates)
     ds = generate(cfg.dataset)
     teacher, _, _ = build_pair(cfg, 0)
-    teacher = pretrain_teacher(ds, teacher, cfg.optimizer,
-                               cfg.run.teacher_epochs, seed=99)
+    pretrain_teacher(ds, teacher, cfg.optimizer, cfg.run.teacher_epochs, seed=99)
+    teacher.set_frozen(True)
     return cfg, ds, teacher
 
 

@@ -65,7 +65,7 @@ def fingerprint():
             "machine": platform.machine()}
 
 
-def _sha(path):
+def sha16(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
@@ -83,7 +83,7 @@ def digests(root):
     for name in [*CASES, "teacher-cache"]:
         for file in sorted(os.listdir(os.path.join(root, name))):
             if file != "resolved.cfg":
-                table[f"{name}/{file}"] = _sha(os.path.join(root, name, file))
+                table[f"{name}/{file}"] = sha16(os.path.join(root, name, file))
     return table
 
 
@@ -115,8 +115,8 @@ def data_digests():
     return table
 
 
-def _check_pins(path, here, compute):
-    """Skip unless ``here`` matches the pinned fingerprint; then compare digests."""
+def skip_unless_pinned_here(path, here):
+    """The pin file at ``path``; skips unless ``here`` matches its fingerprint."""
     with open(path) as fh:
         pinned = json.load(fh)
     differ = {k: (pinned["fingerprint"].get(k), v) for k, v in here.items()
@@ -124,6 +124,12 @@ def _check_pins(path, here, compute):
     if differ:
         pytest.skip(f"pins were taken under another environment (pinned, here): {differ}; "
                     "bytes hold only per environment")
+    return pinned
+
+
+def _check_pins(path, here, compute):
+    """Skip unless ``here`` matches the pinned fingerprint; then compare digests."""
+    pinned = skip_unless_pinned_here(path, here)
     table = compute()
     if table != pinned["digests"]:
         wrong = sorted(k for k in table.keys() | pinned["digests"].keys()

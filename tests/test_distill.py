@@ -11,8 +11,8 @@ from kdlab.autograd import Tensor, backward, matmul, softmax_values
 from kdlab.baselines import MODES, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
-from kdlab.distill import (AccuracyFloorError, DivergenceError, SrdConfig, feature_reg, lr_at,
-                           pretrain_teacher, srd_loss)
+from kdlab.distill import (DivergenceError, SrdConfig, feature_reg, lr_at, pretrain_teacher,
+                           srd_loss)
 from kdlab.models import Classifier, build_pair
 from kdlab.optim import Sgd
 
@@ -232,26 +232,6 @@ def test_lr_schedule_steps_at_each_milestone():
         assert abs(got - want) < 1e-15
 
 
-def test_pretrain_reaches_an_easy_floor_and_freezes():
-    ds = generate(TINY_CFG.dataset)
-    _, student, _ = build_pair(TINY_CFG, 0)
-    teacher, _, _ = build_pair(TINY_CFG, 0)
-    net = pretrain_teacher(ds, teacher, TINY_CFG.optimizer, epochs=10,
-                           floor=0.5, seed=0)
-    assert net.frozen
-    assert all(not p.requires_grad for p in net.parameters())
-
-
-def test_pretrain_raises_on_a_missed_floor():
-    ds = generate(TINY_CFG.dataset)
-    teacher, _, _ = build_pair(TINY_CFG, 0)
-    with pytest.raises(AccuracyFloorError) as info:
-        pretrain_teacher(ds, teacher, TINY_CFG.optimizer, epochs=1,
-                         floor=0.999, seed=0)
-    assert info.value.floor == 0.999
-    assert 0.0 <= info.value.accuracy < 0.999
-
-
 def test_pretrain_raises_a_divergence_error_on_nonfinite_logits():
     ds = generate(TINY_CFG.dataset)
     teacher, _, _ = build_pair(TINY_CFG, 0)
@@ -261,17 +241,6 @@ def test_pretrain_raises_a_divergence_error_on_nonfinite_logits():
     err = info.value
     assert (err.mode, err.seed, err.epoch, err.step, err.term) == ("pretrain", 7, 0, 0, "ce")
     assert "pretrain seed 7 diverged at epoch 0, step 0: ce term" in str(err)
-
-
-def test_pretrain_zero_epochs_returns_the_frozen_init():
-    ds = generate(TINY_CFG.dataset)
-    a, _, _ = build_pair(TINY_CFG, 9)
-    b, _, _ = build_pair(TINY_CFG, 9)
-    net = pretrain_teacher(ds, a, TINY_CFG.optimizer, epochs=0, floor=0.999)
-    assert net.frozen
-    sa, sb = net.state_arrays(), b.state_arrays()
-    for name in sa:
-        assert np.array_equal(sa[name], sb[name])
 
 
 def test_pretrain_replays_bit_for_bit():

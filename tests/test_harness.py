@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import kdlab
-from kdlab import metrics
-from kdlab.config import ConfigError, override, parse_config
+from kdlab import harness, metrics
+from kdlab.config import POLICIES, ConfigError, override, parse_config
 from kdlab.data import SettingError, generate
-from kdlab.distill import DivergenceError
+from kdlab.distill import MODES, AccuracyFloorError, DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
                            teacher_cache_key, write_compare_csv)
+from kdlab.models import build_pair
 
 TINY = """
 [dataset]
@@ -72,26 +73,48 @@ def _cli(args, cwd):
 # the stage-1 cache
 # -----------------
 
+def _optimizer(cfg, **updates):
+    return dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, **updates))
+
+
 def test_cache_key_tracks_stage_one_inputs_only():
     base = parse_config(TINY)
-    assert teacher_cache_key(base, 0) == teacher_cache_key(base, 0)
-    assert teacher_cache_key(base, 0) != teacher_cache_key(base, 1)
+    key = teacher_cache_key(base, 0)
+    assert key == teacher_cache_key(base, 0)
 
-    student_swap = parse_config(TINY.replace("hidden = 8,8", "hidden = 12,12"))
-    assert teacher_cache_key(base, 0) == teacher_cache_key(student_swap, 0)
-    assert teacher_cache_key(base, 0) == \
-        teacher_cache_key(override(base, mode="kd", unlabeled_fraction=0.5), 0)
+    # what stage 1 never reads keeps the key
+    same = [parse_config(TINY.replace("hidden = 8,8", "hidden = 12,12")),
+            override(base, mode="kd", unlabeled_fraction=0.5),
+            override(base, teacher_floor=0.5), _optimizer(base, unlabeled_batch_size=7)]
+    for other in same:
+        assert teacher_cache_key(other, 0) == key
 
-    teacher_swap = parse_config(TINY.replace("hidden = 24,24", "hidden = 20,20"))
-    data_swap = parse_config(TINY.replace("seed = 4", "seed = 5"))
-    epochs_swap = override(base, teacher_epochs=9)
-    for other in (teacher_swap, data_swap, epochs_swap):
-        assert teacher_cache_key(base, 0) != teacher_cache_key(other, 0)
+    # every stage-1 input changes it, the trial seed included
+    changed = [parse_config(TINY.replace("seed = 4", "seed = 5")),
+               parse_config(TINY.replace("hidden = 24,24", "hidden = 20,20")),
+               _optimizer(base, lr=0.04), _optimizer(base, batch_size=9),
+               _optimizer(base, milestones=(3,)), override(base, teacher_epochs=9)]
+    keys = [teacher_cache_key(other, 0) for other in changed] + [teacher_cache_key(base, 1)]
+    assert len(set(keys + [key])) == len(keys) + 1
 
 
-def test_get_teacher_trains_once_then_loads(tmp_path):
+def _count_pretraining(monkeypatch):
+    calls = []
+    original = harness.pretrain_teacher
+    monkeypatch.setattr(harness, "pretrain_teacher",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    return calls
+
+
+def _assert_frozen(net):
+    assert net.frozen
+    assert all(not p.requires_grad and p.grad is None for p in net.parameters())
+
+
+def test_get_teacher_trains_once_then_loads(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path)
     ds = generate(cfg.dataset)
+    calls = _count_pretraining(monkeypatch)
     first = get_teacher(cfg, ds, seed=0)
     cache = tmp_path / "cache"
     files = sorted(os.listdir(cache))
@@ -99,12 +122,66 @@ def test_get_teacher_trains_once_then_loads(tmp_path):
     stamp = os.path.getmtime(cache / files[0])
 
     second = get_teacher(cfg, ds, seed=0)
+    assert len(calls) == 1
     assert sorted(os.listdir(cache)) == files
     assert os.path.getmtime(cache / files[0]) == stamp
     sa, sb = first.state_arrays(), second.state_arrays()
     for name in sa:
         assert np.array_equal(sa[name], sb[name]), name
-    assert second.frozen
+
+
+def test_get_teacher_passes_an_easy_floor_frozen_on_both_paths(tmp_path):
+    cfg = _cfg(tmp_path, teacher_epochs=10, teacher_floor=0.5)
+    ds = generate(cfg.dataset)
+    for _ in ("trained", "cached"):
+        _assert_frozen(get_teacher(cfg, ds, seed=0))
+
+
+@pytest.mark.parametrize("part, field, values", [
+    ("run", "teacher_floor", (0.0, 0.5)),
+    ("optimizer", "unlabeled_batch_size", (64, 7)),
+], ids=["teacher_floor", "unlabeled_batch_size"])
+def test_settings_stage_one_never_reads_share_one_cached_teacher(tmp_path, monkeypatch,
+                                                                   part, field, values):
+    base = _cfg(tmp_path, teacher_epochs=10)
+    first, second = [dataclasses.replace(base, **{part: dataclasses.replace(
+        getattr(base, part), **{field: value})}) for value in values]
+    ds = generate(base.dataset)
+    get_teacher(first, ds, seed=0)
+    calls = _count_pretraining(monkeypatch)
+    get_teacher(second, ds, seed=0)
+    assert calls == []
+    assert len(os.listdir(tmp_path / "cache")) == 1
+
+
+def test_get_teacher_raises_on_a_missed_floor_cached_or_fresh(tmp_path, monkeypatch):
+    """A teacher below its floor stays cached: a rerun fails at once, a lower floor reuses it."""
+    cfg = _cfg(tmp_path, teacher_epochs=1, teacher_floor=0.999)
+    ds = generate(cfg.dataset)
+    with pytest.raises(AccuracyFloorError) as fresh:
+        get_teacher(cfg, ds, seed=0)
+    assert fresh.value.floor == 0.999
+    assert 0.0 <= fresh.value.accuracy < 0.999
+    assert len(os.listdir(tmp_path / "cache")) == 1
+
+    calls = _count_pretraining(monkeypatch)
+    with pytest.raises(AccuracyFloorError) as cached:
+        get_teacher(cfg, ds, seed=0)
+    assert cached.value.accuracy == fresh.value.accuracy
+    _assert_frozen(get_teacher(override(cfg, teacher_floor=0.0), ds, seed=0))
+    assert calls == []
+
+
+def test_zero_teacher_epochs_hand_out_the_frozen_init_unchecked(tmp_path):
+    cfg = _cfg(tmp_path, teacher_epochs=0, teacher_floor=0.999)
+    ds = generate(cfg.dataset)
+    init, _, _ = build_pair(cfg, 9)
+    for _ in ("trained", "cached"):
+        net = get_teacher(cfg, ds, seed=9)
+        _assert_frozen(net)
+        sa, sb = net.state_arrays(), init.state_arrays()
+        for name in sa:
+            assert np.array_equal(sa[name], sb[name]), name
 
 
 # full runs
@@ -190,6 +267,90 @@ def test_stage_two_replays_against_a_warm_cache(tmp_path):
         os.remove(out / name)
     run(cfg)
     assert (out / "metrics_seed0.csv").read_bytes() == first
+
+
+# the config space
+# ----------------
+
+SPACE_DRAWS = 40
+
+
+def _draw_config(rng, i):
+    """Config text for draw ``i``: every mode, variant and policy by turns, the rest at random."""
+    classes = int(rng.integers(2, 5))
+    labeled = int(rng.integers(2, 7))
+    batch = (1, classes * labeled + 3, int(rng.integers(2, 9)))[i % 3]
+    return f"""
+[dataset]
+seed = {int(rng.integers(0, 50))}
+input_dim = {int(rng.integers(2, 7))}
+classes = {classes}
+unseen_classes = {int(rng.integers(0, 3))}
+overlap = {rng.choice([0.0, 0.5, 1.0])}
+labeled_per_class = {labeled}
+unlabeled_per_class = {int(rng.integers(1, 8))}
+test_per_class = {int(rng.integers(1, 6))}
+components_per_class = {int(rng.integers(1, 3))}
+unseen_placement = {rng.choice(["mixed", "near", "far"])}
+[teacher]
+hidden = {int(rng.integers(8, 17))}
+feature_dim = 6
+feature_norm = {"false" if i % 4 == 1 else "true"}
+[student]
+hidden = {int(rng.integers(2, 6))}
+feature_dim = {int(rng.integers(2, 5))}
+feature_norm = {"false" if i % 4 == 2 else "true"}
+[optimizer]
+lr = {rng.choice([0.01, 0.1, 1.0])}
+batch_size = {batch}
+unlabeled_batch_size = {int(rng.integers(0, 6))}
+milestones = 1
+[distill]
+variant = {("mse", "kl", "pmse")[i % 3]}
+[run]
+mode = {list(MODES)[i % len(MODES)]}
+epochs = {int(rng.integers(1, 3))}
+teacher_epochs = {int(rng.integers(0, 3))}
+teacher_floor = {rng.choice([0.0, 0.0, 0.3, 0.95])}
+seeds = {i}
+use_unlabeled = {"false" if i % 5 == 4 else "true"}
+unlabeled_fraction = {rng.choice([0.2, 0.5, 1.0])}
+selection_policy = {POLICIES[i // 3 % 2]}
+"""
+
+
+def test_random_small_configs_finish_or_fail_by_name(tmp_path):
+    """Each drawn config writes finite metrics or raises one of kdlab's named errors."""
+    rng = np.random.default_rng(2024)
+    seen, outcomes = set(), []
+    for i in range(SPACE_DRAWS):
+        text = _draw_config(rng, i)
+        try:
+            cfg = override(parse_config(text), out=str(tmp_path / f"draw{i}"),
+                           cache_dir=str(tmp_path / "cache"))
+            with np.errstate(all="ignore"):
+                run(cfg)
+        except (ConfigError, SettingError, AccuracyFloorError, DivergenceError) as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        outcomes.append("ok")
+        r, batch = cfg.run, cfg.optimizer.batch_size
+        seen |= {r.mode, r.selection_policy, cfg.srd.variant}
+        seen |= {name for name, hit in (
+            ("labeled only", not r.use_unlabeled), ("fraction < 1", r.unlabeled_fraction < 1),
+            ("teacher unnormed", not cfg.teacher.feature_norm),
+            ("student unnormed", not cfg.student.feature_norm), ("batch 1", batch == 1),
+            ("batch > labeled", batch > cfg.dataset.classes * cfg.dataset.labeled_per_class),
+        ) if hit}
+        with open(tmp_path / f"draw{i}" / f"metrics_seed{i}.csv") as fh:
+            fh.readline()
+            for line in fh:
+                assert all(np.isfinite(float(v)) for v in line.split(",")), (text, line)
+    # the draws that ran cover what they are meant to
+    assert seen >= {*MODES, *POLICIES, "mse", "kl", "pmse", "labeled only", "fraction < 1",
+                    "teacher unnormed", "student unnormed", "batch 1",
+                    "batch > labeled"}, (seen, outcomes)
+    assert outcomes.count("ok") >= SPACE_DRAWS // 2, outcomes
 
 
 # comparison
@@ -357,13 +518,23 @@ def test_cli_compare_of_missing_run_directories_exits_2(tmp_path):
 
 def test_cli_reports_a_missed_floor_with_code_3(tmp_path):
     cfg_path = tmp_path / "floor.cfg"
-    cfg_path.write_text(TINY.replace("teacher_floor = 0.0",
-                                     "teacher_floor = 0.999")
-                        .replace("teacher_epochs = 5", "teacher_epochs = 1"))
-    code, out, err = _cli(["distill", "--config", str(cfg_path),
-                           "--out", str(tmp_path / "run")], cwd=tmp_path)
+    text = TINY.replace("teacher_epochs = 5", "teacher_epochs = 1")
+    cfg_path.write_text(text.replace("teacher_floor = 0.0", "teacher_floor = 0.999"))
+    args = ["distill", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    code, out, err = _cli(args, cwd=tmp_path)
     assert code == 3, err
     assert "floor" in err.lower()
+    # the seed-0 teacher that missed stays cached: a rerun fails without
+    # training, and a lower floor reuses it
+    cache = tmp_path / "runs" / "teacher-cache"
+    [missed] = os.listdir(cache)
+    stamp = os.path.getmtime(cache / missed)
+    code, out, err = _cli(args, cwd=tmp_path)
+    assert code == 3, err
+    cfg_path.write_text(text)
+    code, out, err = _cli(args, cwd=tmp_path)
+    assert code == 0, err
+    assert os.path.getmtime(cache / missed) == stamp
 
 
 def test_cli_reports_divergence_with_code_4(tmp_path):
