@@ -8,12 +8,14 @@ and checks one of them against central finite differences. Run with
 second.
 """
 
-import numpy as np
-
+# kdlab before numpy: importing kdlab sets the one-BLAS-thread default,
+# which numpy reads when it loads.
 from kdlab.autograd import (Tensor, backward, matmul, no_grad, relu, softmax,
                             softmax_cross_entropy)
 from kdlab.data import one_hot
 from kdlab.optim import Sgd
+
+import numpy as np
 
 # ----------------------------------------------------------------------
 # forward pass: a two-layer scoring function on three points

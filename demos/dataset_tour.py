@@ -9,9 +9,11 @@ hidden composition, and shows the augmentation op and the CSV export.
 import os
 import tempfile
 
-import numpy as np
-
+# kdlab before numpy: importing kdlab sets the one-BLAS-thread default,
+# which numpy reads when it loads.
 from kdlab.data import DatasetParams, augment, export_csv, generate
+
+import numpy as np
 
 params = DatasetParams(seed=3, input_dim=8, classes=5, unseen_classes=6,
                        overlap=0.25, labeled_per_class=20,

@@ -12,13 +12,15 @@ machine.
 
 import os
 
-import numpy as np
-
+# kdlab before numpy: importing kdlab sets the one-BLAS-thread default,
+# which numpy reads when it loads.
 from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
 from kdlab.harness import get_teacher
 from kdlab.metrics import roc_auc, usage_curve
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 0

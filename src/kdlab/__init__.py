@@ -24,9 +24,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 from .autograd import (LOG_FLOOR, NumericError, ShapeError, Tensor, backward,
                        batch_norm, cosine_loss, l2_distance, linear, logistic_loss,
                        matmul, mse, no_grad, relu, sigmoid, slice_rows, softmax,
-                       softmax_cross_entropy, softmax_values, sqrt)
-from .baselines import (MODES, OodDetector, RunResult, cosine_rows, kd_loss,
-                        ood_filter, pseudo_label, stage2_loss, train_with_mode)
+                       softmax_cross_entropy, softmax_values)
+from .baselines import (MODES, OodDetector, RunResult, kd_loss, ood_filter,
+                        pseudo_label, stage2_loss, train_with_mode)
 from .config import (ArchParams, BaselineParams, ConfigError, ExperimentConfig,
                      OptimParams, RunParams, format_config, load_config,
                      override, parse_config)

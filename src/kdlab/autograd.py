@@ -88,28 +88,14 @@ class Tensor:
     def item(self):
         return float(self.values)
 
-    def detach(self):
-        """A view of the same values with no gradient requirement or node."""
-        return Tensor(self.values)
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -120,23 +106,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def relu(self):
         return relu(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis=axis)
 
 
 def _promote(x):

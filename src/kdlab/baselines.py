@@ -31,16 +31,15 @@ def kd_loss(z_t, z_s, temperature):
 
     Cross-entropy between the softened teacher and student distributions;
     the T^2 factor keeps gradient magnitudes comparable across
-    temperatures. The teacher side is constant.
+    temperatures. The teacher side ``z_t`` is a constant array.
     """
     if temperature <= 0.0:
         raise ValueError(f"kd_loss: temperature must be positive, got {temperature}")
-    z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-    z_s = z_s if isinstance(z_s, Tensor) else Tensor(z_s)
+    z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.shape != z_s.shape:
         raise ValueError(f"kd_loss: shapes differ, {z_t.shape} vs {z_s.shape}")
     inv = 1.0 / float(temperature)
-    soft = softmax_cross_entropy(z_s * inv, softmax_values(z_t.values * inv))
+    soft = softmax_cross_entropy(z_s * inv, softmax_values(z_t * inv))
     return float(temperature) ** 2 * soft
 
 
@@ -144,7 +143,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
 
         if "srd" in terms:
             term = "srd"
-            x_a = adaptor(feats_s, train=True)
+            x_a = adaptor(feats_s)
             z_hat = teacher.classifier(x_a)
             srd = srd_loss(cfg.srd.variant, z_t, z_hat)
             reg = feature_reg(feats_t, x_a)

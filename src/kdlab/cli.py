@@ -172,7 +172,7 @@ def _cmd_dump_features(args):
         arrays = load_checkpoint(args.checkpoint)
         net.load_state({k: v for k, v in arrays.items()
                         if not k.startswith("adaptor.")})
-        net.set_frozen(True)
+        net.freeze()
     x, y = (ds.labeled_x, ds.labeled_y) if args.split == "labeled" \
         else (ds.test_x, ds.test_y)
     os.makedirs(cfg.run.out, exist_ok=True)

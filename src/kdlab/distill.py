@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .autograd import (NumericError, Tensor, backward, l2_distance, mse, softmax,
+from .autograd import (NumericError, backward, l2_distance, mse, softmax,
                        softmax_cross_entropy, softmax_values)
 from .data import BatchSampler, SettingError, one_hot
 from .optim import Sgd
@@ -98,9 +98,9 @@ def srd_loss(variant, z_t, z_hat):
 
     kl: soft cross-entropy against the teacher's softmax; mse: squared
     logit distance, summed per sample and batch-meaned; pmse: squared
-    distance between the two softmax outputs. ``z_t`` is constant.
+    distance between the two softmax outputs. ``z_t`` is a constant array.
     """
-    z_t = z_t.values if isinstance(z_t, Tensor) else np.asarray(z_t)
+    z_t = np.asarray(z_t, dtype=np.float64)
     if variant == "kl":
         return softmax_cross_entropy(z_hat, softmax_values(z_t))
     if variant == "mse":
@@ -111,9 +111,8 @@ def srd_loss(variant, z_t, z_hat):
 
 
 def feature_reg(x_t, x_adapted):
-    """Batch mean of the unsquared L2 gap between the feature spaces."""
-    x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
-    return l2_distance(x_t.detach(), x_adapted)
+    """Batch mean of the unsquared L2 gap from the teacher's features, an array."""
+    return l2_distance(np.asarray(x_t, dtype=np.float64), x_adapted)
 
 
 def lr_at(base_lr, milestones, gamma, epoch):

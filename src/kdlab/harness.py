@@ -71,7 +71,7 @@ def get_teacher(cfg, dataset, seed):
             raise DivergenceError(exc.mode, seed, exc.epoch, exc.step, exc.term,
                                   exc.detail) from exc
         save_checkpoint(path, teacher.state_arrays())
-    teacher.set_frozen(True)
+    teacher.freeze()
     if cfg.run.teacher_epochs and cfg.run.teacher_floor:
         accuracy = evaluate_accuracy(teacher, dataset.test_x, dataset.test_y)
         if accuracy < cfg.run.teacher_floor:

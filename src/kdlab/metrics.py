@@ -22,8 +22,6 @@ def fmt(x):
     """6-significant-digit float formatting shared by the metric CSVs."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.6g}"

@@ -149,7 +149,7 @@ class Classifier:
 class Network:
     """Feature extractor plus classifier with a shared frozen flag.
 
-    ``set_frozen(True)`` takes every parameter out of the gradient graph
+    ``freeze()`` takes every parameter out of the gradient graph for good
     and fixes the normalization statistics, so a frozen network is a
     deterministic per-sample function.
     """
@@ -190,11 +190,11 @@ class Network:
     def parameters(self):
         return self.extractor.parameters() + self.classifier.parameters()
 
-    def set_frozen(self, flag):
-        self.frozen = bool(flag)
+    def freeze(self):
+        self.frozen = True
         for p in self.parameters():
-            p.requires_grad = not self.frozen
-            p.grad = None if self.frozen else np.zeros_like(p.values)
+            p.requires_grad = False
+            p.grad = None
 
     def state_arrays(self):
         out = self.extractor.state_arrays("extractor")
@@ -220,15 +220,15 @@ class Adaptor:
 
     A single affine map to the teacher width, per-feature batch
     normalization, then ReLU so outputs live in the teacher's nonnegative
-    feature range.
+    feature range. Only stage 2 calls it, always in training mode.
     """
 
     def __init__(self, student_dim, teacher_dim, rng):
         self.affine = Affine(student_dim, teacher_dim, rng)
         self.norm = BatchNorm(teacher_dim)
 
-    def __call__(self, x, train=False):
-        return self.norm(self.affine(x), train).relu()
+    def __call__(self, x):
+        return self.norm(self.affine(x), True).relu()
 
     def parameters(self):
         return self.affine.parameters() + self.norm.parameters()
@@ -265,9 +265,9 @@ def build_pair(cfg, seed):
 
     The three parts draw from independent seed streams, so changing the
     student architecture never perturbs the teacher's initialization.
-    The teacher comes back trainable (stage 1 trains it); freezing is
-    the pretraining stage's job. The config has already checked the
-    capacity rule.
+    The teacher comes back trainable (stage 1 trains it);
+    ``harness.get_teacher`` freezes it. The config has already checked
+    the capacity rule.
     """
     input_dim = cfg.dataset.input_dim
     classes = cfg.dataset.classes

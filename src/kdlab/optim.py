@@ -33,7 +33,7 @@ class Sgd:
     the flat buffers and rebound to views of that slot, so code that
     writes them in place (``backward``, ``load_state``) reaches the
     optimizer. A parameter whose ``grad`` is later unset or rebound (as
-    ``Network.set_frozen`` does) makes ``step`` raise.
+    ``Network.freeze`` unsets it) makes ``step`` raise.
     """
 
     def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):

@@ -61,7 +61,17 @@ MUTANTS = {
     "teacher cache key ignores the trial seed":
         ("harness.py", "epochs, int(seed)))", "epochs))"),
     "cached teacher handed out unfrozen":
-        ("harness.py", "teacher.set_frozen(True)", "teacher.set_frozen(not cached)"),
+        ("harness.py", "    teacher.freeze()\n", "    cached or teacher.freeze()\n"),
+    "Network.freeze leaves requires_grad on":
+        ("models.py", "p.requires_grad = False", "p.requires_grad = True"),
+    "load_arrays accepts trailing bytes":
+        ("fileio.py", "if offset != len(payload):", "if offset > len(payload):"),
+    "load_dataset accepts a repeated param":
+        ("data.py", "if name in kwargs:", "if name in kwargs and False:"),
+    "atomic_open writes path in place":
+        ("fileio.py", 'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path"),
+    "atomic_open leaves its temporary file after a failure":
+        ("fileio.py", "            os.remove(tmp)\n", "            pass\n"),
 }
 
 

@@ -111,8 +111,7 @@ def test_criterion_02_logit_distance_identity():
         w = rng.standard_normal((d, k))
         x_t = rng.standard_normal((1, d))
         phi = rng.standard_normal((1, d))
-        got = srd_loss("mse", Tensor(x_t @ w),
-                       matmul(Tensor(phi), Tensor(w))).item()
+        got = srd_loss("mse", x_t @ w, matmul(Tensor(phi), Tensor(w))).item()
         ref = float(np.sum(((x_t - phi) @ w) ** 2))
         peak = max(peak, abs(got - ref))
     ok = peak < 1e-9
@@ -131,7 +130,7 @@ def test_criterion_03_feature_recovery():
     free = Tensor(np.zeros((1, d)), requires_grad=True)
     opt = Sgd([free], lr=0.5, momentum=0.9)
     for _ in range(4000):
-        backward(srd_loss("mse", Tensor(z_t), matmul(free, Tensor(w))))
+        backward(srd_loss("mse", z_t, matmul(free, Tensor(w))))
         opt.step()
     gap = float(np.max(np.abs(free.values - x_t)))
     elapsed = time.time() - t0

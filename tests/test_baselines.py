@@ -52,7 +52,7 @@ def _setup(text=TINY, **run_updates):
     ds = generate(cfg.dataset)
     teacher, _, _ = build_pair(cfg, 0)
     pretrain_teacher(ds, teacher, cfg.optimizer, cfg.run.teacher_epochs, seed=99)
-    teacher.set_frozen(True)
+    teacher.freeze()
     return cfg, ds, teacher
 
 
@@ -221,7 +221,7 @@ def test_detector_separates_disjoint_clusters():
 def _preset_teacher():
     cfg = parse_config("")
     teacher, _, _ = build_pair(cfg, 0)
-    teacher.set_frozen(True)
+    teacher.freeze()
     return cfg, generate(cfg.dataset), teacher
 
 

@@ -159,7 +159,7 @@ def test_teacher_score_matches_confidence_sort():
     ds = generate(SMALL)
     teacher = make_network(SMALL.input_dim, ArchParams((12, 12), 6, True),
                            SMALL.classes, seed=7)
-    teacher.set_frozen(True)
+    teacher.freeze()
     _, logits = teacher.forward(ds.unlabeled.inputs)
     conf = softmax_values(logits.values).max(axis=1)
     keep = round(0.5 * len(ds.unlabeled))
@@ -333,6 +333,11 @@ def test_dataset_loader_rejects_bad_values_and_repeats(tmp_path):
     path = _saved(tmp_path)
     _edit_header(path, f"param classes {SMALL.classes!r}", "param classes 1")
     with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'classes'"):
+        load_dataset(str(path))
+    path = _saved(tmp_path)
+    seed_line = f"param seed {SMALL.seed!r}\n"
+    _edit_header(path, seed_line, seed_line + seed_line)
+    with pytest.raises(ValueError, match=r"ds\.bin.*param 'seed' appears twice"):
         load_dataset(str(path))
     path = _saved(tmp_path)
     _edit_header(path, "block test_x", "block labeled_x")

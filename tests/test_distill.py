@@ -8,7 +8,7 @@ import pytest
 
 from helpers import composed_cross_entropy, composed_row_distance
 from kdlab.autograd import Tensor, backward, matmul, softmax_values
-from kdlab.baselines import MODES, stage2_loss, train_with_mode
+from kdlab.baselines import MODES, kd_loss, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
 from kdlab.distill import (DivergenceError, SrdConfig, feature_reg, lr_at, pretrain_teacher,
@@ -68,7 +68,7 @@ def test_mse_variant_equals_weighted_feature_distance():
         phi = rng.standard_normal((1, d))
         z_t = x_t @ w
         z_hat = matmul(Tensor(phi), Tensor(w))
-        got = srd_loss("mse", Tensor(z_t), z_hat).item()
+        got = srd_loss("mse", z_t, z_hat).item()
         ref = float(np.sum(((x_t - phi) @ w) ** 2))
         assert abs(got - ref) < tol
 
@@ -87,7 +87,7 @@ def test_matching_logits_recovers_teacher_features():
     free = Tensor(np.zeros((1, d)), requires_grad=True)
     opt = Sgd([free], lr=0.5, momentum=0.9)
     for _ in range(4000):
-        loss = srd_loss("mse", Tensor(z_t), matmul(free, Tensor(w)))
+        loss = srd_loss("mse", z_t, matmul(free, Tensor(w)))
         backward(loss)
         opt.step()
     gap = np.max(np.abs(free.values - x_t))
@@ -103,31 +103,44 @@ def test_variant_value_oracles():
         z_h = rng.uniform(-3, 3, (n, k))
         p_t = softmax_values(z_t)
         p_h = softmax_values(z_h)
-        kl = srd_loss("kl", Tensor(z_t), Tensor(z_h)).item()
+        kl = srd_loss("kl", z_t, Tensor(z_h)).item()
         ref_kl = -(p_t * np.log(p_h)).sum(axis=1).mean()
         assert abs(kl - ref_kl) < 1e-12
-        pm = srd_loss("pmse", Tensor(z_t), Tensor(z_h)).item()
+        pm = srd_loss("pmse", z_t, Tensor(z_h)).item()
         ref_pm = ((p_t - p_h) ** 2).sum(axis=1).mean()
         assert abs(pm - ref_pm) < 1e-12
     with pytest.raises(ValueError):
-        srd_loss("huber", Tensor(z_t), Tensor(z_h))
+        srd_loss("huber", z_t, Tensor(z_h))
 
 
 def test_feature_reg_is_mean_unsquared_distance():
     x_t = np.array([[3.0, 4.0, 0.0], [0.0, 5.0, 12.0]])
     x_a = np.zeros((2, 3))
     # row norms 5 and 13
-    assert abs(feature_reg(Tensor(x_t), Tensor(x_a)).item() - 9.0) < 1e-12
+    assert abs(feature_reg(x_t, Tensor(x_a)).item() - 9.0) < 1e-12
     with pytest.raises(ValueError):
-        feature_reg(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        feature_reg(np.zeros((2, 3)), Tensor(np.zeros((2, 4))))
 
 
 def test_feature_reg_pulls_only_the_adapted_side():
-    x_t = Tensor(np.ones((3, 4)) * 2.0, requires_grad=True)
+    """The teacher side is a constant array; a Tensor there is refused, not detached."""
     x_a = Tensor(np.zeros((3, 4)), requires_grad=True)
-    backward(feature_reg(x_t, x_a))
+    backward(feature_reg(np.ones((3, 4)) * 2.0, x_a))
     assert np.max(np.abs(x_a.grad)) > 0.0
-    assert x_t.grad is None or np.max(np.abs(x_t.grad)) == 0.0
+    with pytest.raises(TypeError):
+        feature_reg(Tensor(np.ones((3, 4)) * 2.0, requires_grad=True), x_a)
+
+
+@pytest.mark.parametrize("loss", [
+    lambda z_t, z: srd_loss("kl", z_t, z), lambda z_t, z: srd_loss("mse", z_t, z),
+    lambda z_t, z: srd_loss("pmse", z_t, z), lambda z_t, z: kd_loss(z_t, z, 4.0)],
+    ids=["srd-kl", "srd-mse", "srd-pmse", "kd"])
+def test_a_tensor_on_the_teacher_side_raises_type_error(loss):
+    z_t, z = np.ones((3, 4)), Tensor(np.zeros((3, 4)), requires_grad=True)
+    assert np.isfinite(loss(z_t, z).item())
+    for teacher_side in (Tensor(z_t), Tensor(z_t, requires_grad=True)):
+        with pytest.raises(TypeError):
+            loss(teacher_side, z)
 
 
 # the stage-2 objective
@@ -135,7 +148,7 @@ def test_feature_reg_pulls_only_the_adapted_side():
 
 def _fresh(seed=0):
     teacher, student, adaptor = build_pair(TINY_CFG, seed)
-    teacher.set_frozen(True)
+    teacher.freeze()
     return teacher, student, adaptor
 
 
@@ -160,7 +173,7 @@ def test_empty_unlabeled_equals_the_hand_composed_srd_step():
     teacher, student, adaptor = nets_b = _fresh(5)
     feats_t, z_t = teacher.predict(x)
     feats_s, logits_s = student.forward(x, train=True)
-    x_a = adaptor(feats_s, train=True)
+    x_a = adaptor(feats_s)
     loss_b = (composed_cross_entropy(logits_s, y)
               + 1.0 * composed_row_distance(Tensor(z_t), teacher.classifier(x_a))
               + 1.0 * composed_row_distance(Tensor(feats_t), x_a, root=True))

@@ -1,5 +1,6 @@
 """Orchestration: caching, run artifacts, comparison, sweeps, exit codes."""
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import kdlab
+import mutants
 from kdlab import harness, metrics
 from kdlab.config import POLICIES, ConfigError, override, parse_config
 from kdlab.data import SettingError, generate
@@ -567,6 +569,30 @@ def test_autograd_walkthrough_demo_runs(tmp_path):
     assert "cross-entropy loss" in out and "step 4: loss" in out
     gap = float(out.split(" gap ")[1].split()[0])
     assert gap < 1e-6
+
+
+def test_demos_import_kdlab_before_numpy():
+    """kdlab's one-BLAS-thread default reaches a demo only if kdlab loads first."""
+    demos = os.path.join(mutants.ROOT, "demos")
+    names = sorted(f for f in os.listdir(demos) if f.endswith(".py"))
+    assert names
+    for name in names:
+        with open(os.path.join(demos, name)) as fh:
+            tree = ast.parse(fh.read())
+        modules = [(alias.name if isinstance(node, ast.Import) else node.module).split(".")[0]
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names]
+        assert "kdlab" in modules, name
+        if "numpy" in modules:
+            assert modules.index("kdlab") < modules.index("numpy"), name
+
+
+def test_every_mutant_edits_text_its_source_file_holds_once():
+    """A refactor that moves mutated text must fail here, not only in the mutation run."""
+    for name, (file, old, new) in mutants.MUTANTS.items():
+        with open(os.path.join(mutants.ROOT, "src", "kdlab", file)) as fh:
+            assert fh.read().count(old) == 1, name
+        assert new != old, name
 
 
 def test_cli_generate_data_writes_the_dataset(tmp_path):

@@ -51,7 +51,7 @@ def test_top_k_argument_checks():
 
 def test_mimicry_is_zero_against_itself():
     net = make_network(5, ArchParams((8,), 4, True), 3, seed=1)
-    net.set_frozen(True)
+    net.freeze()
     x = np.random.default_rng(0).standard_normal((20, 5))
     assert abs(mimicry_kl(net, net, x)) < 1e-12
 
@@ -60,8 +60,8 @@ def test_mimicry_matches_a_softmax_oracle():
     rng = np.random.default_rng(7)
     t = make_network(5, ArchParams((8,), 4, True), 3, seed=1)
     s = make_network(5, ArchParams((6,), 4, True), 3, seed=2)
-    t.set_frozen(True)
-    s.set_frozen(True)
+    t.freeze()
+    s.freeze()
     x = rng.standard_normal((15, 5))
     from kdlab.autograd import softmax_values
 
@@ -120,6 +120,9 @@ def test_fmt_is_six_significant_digits():
     assert fmt(0.123456789) == "0.123457"
     assert fmt(7) == "7"
     assert fmt(True) == "1"
+    assert fmt(False) == "0"
+    assert fmt(np.bool_(True)) == "1"
+    assert fmt(np.bool_(False)) == "0"
     assert fmt(1e-7) == "1e-07"
 
 
@@ -164,7 +167,7 @@ def test_usage_csvs_round_trip(tmp_path):
 def test_feature_dump_survives_a_parse_round_trip(tmp_path):
     """17-digit formatting reproduces the arrays to near machine epsilon."""
     net = make_network(6, ArchParams((8,), 5, True), 3, seed=3)
-    net.set_frozen(True)
+    net.freeze()
     rng = np.random.default_rng(13)
     x = rng.standard_normal((12, 6))
     labels = rng.integers(0, 3, 12)

@@ -9,7 +9,8 @@ from helpers import (composed_cosine_loss, composed_cross_entropy,
                      composed_logistic_loss, composed_row_distance)
 from kdlab.autograd import (LAST_BACKWARD_STATS, ShapeError, Tensor, backward,
                             batch_norm, linear, matmul, mul, slice_rows, softmax,
-                            softmax_cross_entropy, softmax_values, sqrt, tensor_sum)
+                            softmax_cross_entropy, softmax_values, sqrt, tensor_mean,
+                            tensor_sum)
 from kdlab.baselines import OodDetector, stage2_loss
 from kdlab.config import ArchParams, parse_config
 from kdlab.data import one_hot
@@ -230,7 +231,7 @@ def test_frozen_network_is_constant_and_gradient_free():
     net = make_network(6, arch, classes=3, seed=13)
     rng = np.random.default_rng(4)
     net.forward(rng.standard_normal((10, 6)), train=True)
-    net.set_frozen(True)
+    net.freeze()
 
     for p in net.parameters():
         assert not p.requires_grad
@@ -247,13 +248,18 @@ def test_frozen_network_is_constant_and_gradient_free():
 
 
 def test_sgd_refuses_a_network_refrozen_after_construction():
+    """Freezing unsets every grad; a rebound grad is as foreign to ``Sgd``."""
     arch = ArchParams(hidden=(8,), feature_dim=4, feature_norm=False)
-    net = make_network(6, arch, classes=3, seed=17)
-    opt = Sgd(net.parameters(), lr=0.1)
-    net.set_frozen(True)
-    net.set_frozen(False)
-    with pytest.raises(ValueError, match="no gradient buffer"):
-        opt.step()
+    for change in ("freeze", "rebind"):
+        net = make_network(6, arch, classes=3, seed=17)
+        opt = Sgd(net.parameters(), lr=0.1)
+        if change == "freeze":
+            net.freeze()
+        else:
+            p = net.parameters()[0]
+            p.grad = np.zeros_like(p.values)
+        with pytest.raises(ValueError, match="no gradient buffer"):
+            opt.step()
 
 
 def test_unfrozen_network_backpropagates():
@@ -341,7 +347,7 @@ def test_parameter_count_matches_hand_count():
 def test_adaptor_output_lives_in_nonnegative_range():
     rng = np.random.default_rng(23)
     adaptor = Adaptor(4, 16, rng)
-    out = adaptor(Tensor(rng.standard_normal((10, 4))), train=True)
+    out = adaptor(Tensor(rng.standard_normal((10, 4))))
     assert np.min(out.values) >= 0.0
     assert len(adaptor.parameters()) == 4
 
@@ -358,9 +364,9 @@ def _composed_affine(layer, x, relu=False):
 
 
 def _composed_batchnorm(bn, x):
-    mu = x.mean(axis=0)
+    mu = tensor_mean(x, axis=0)
     centered = x - mu
-    var = (centered * centered).mean(axis=0)
+    var = tensor_mean(centered * centered, axis=0)
     bn.running_mean = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu.values
     bn.running_var = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var.values
     normed = centered / sqrt(var + bn.eps)
@@ -425,8 +431,8 @@ def test_a_frozen_teacher_classifier_gets_no_gradient_and_leaves_the_adaptor_bit
     """
     cfg, (teacher, student, adaptor) = _preset_pair()
     _, (twin_teacher, twin_student, twin_adaptor) = _preset_pair()
-    teacher.set_frozen(True)
-    twin_teacher.set_frozen(True)
+    teacher.freeze()
+    twin_teacher.freeze()
     weight = twin_teacher.classifier.weight
     weight.requires_grad, weight.grad = True, np.zeros(weight.shape)
     rng = np.random.default_rng(47)
@@ -449,7 +455,7 @@ def _assert_step_matches_composed_graph(mode, variant):
     cfg, (teacher, fused, fused_ad) = _preset_pair()
     _, (_, composed, composed_ad) = _preset_pair()
     cfg = dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
-    teacher.set_frozen(True)
+    teacher.freeze()
     rng = np.random.default_rng(43)
     x = rng.standard_normal((96, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
@@ -514,7 +520,7 @@ def test_every_stage2_term_matches_composed_graph(mode, variant):
 def test_fused_detector_step_matches_composed_graph():
     """Preset detector step: 32 labeled positives, 32 of 64 pool rows negatives."""
     cfg, (teacher, _, _) = _preset_pair()
-    teacher.set_frozen(True)
+    teacher.freeze()
     rng = np.random.default_rng(45)
     feats_t, _ = teacher.predict(rng.standard_normal((96, cfg.dataset.input_dim)))
     neg_rows = rng.choice(64, size=32, replace=False)
@@ -603,7 +609,7 @@ def test_preset_steps_build_the_pinned_number_of_graph_nodes():
     backward(softmax_cross_entropy(logits, y))
     assert LAST_BACKWARD_STATS["nodes"] == TEACHER_STEP_NODES
 
-    teacher.set_frozen(True)
+    teacher.freeze()
     out = teacher.predict(x)
     total, _ = stage2_loss(MODES["srd"], (teacher, student, adaptor), cfg, x, y, out)
     backward(total)
