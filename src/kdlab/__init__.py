@@ -37,9 +37,8 @@ from .distill import (AccuracyFloorError, DivergenceError, SrdConfig, feature_re
 from .harness import compare, get_teacher, run, sweep, teacher_cache_key
 from .metrics import (MetricsRecord, evaluate_accuracy, feature_dump, mimicry_kl,
                       roc_auc, top_k_accuracy, usage_curve)
-from .models import (Adaptor, Affine, BatchNorm, Classifier, FeatureExtractor,
-                     Network, build_pair, load_checkpoint, make_network,
-                     save_checkpoint)
+from .models import (Adaptor, Affine, BatchNorm, Classifier, Network, build_pair,
+                     load_checkpoint, make_network, save_checkpoint)
 from .optim import Sgd
 
 __version__ = "0.1.0"

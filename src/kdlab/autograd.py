@@ -146,7 +146,8 @@ def add(a, b):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
 
     def rule(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+        return (_unbroadcast(g, a.values.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.values.shape) if b.requires_grad else None)
 
     return _make(values, "add", (a, b), rule)
 
@@ -159,7 +160,8 @@ def sub(a, b):
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
 
     def rule(g):
-        return _unbroadcast(g, a.values.shape), -_unbroadcast(g, b.values.shape)
+        return (_unbroadcast(g, a.values.shape) if a.requires_grad else None,
+                -_unbroadcast(g, b.values.shape) if b.requires_grad else None)
 
     return _make(values, "sub", (a, b), rule)
 
@@ -172,10 +174,8 @@ def mul(a, b):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def rule(g):
-        return (
-            _unbroadcast(g * b.values, a.values.shape),
-            _unbroadcast(g * a.values, b.values.shape),
-        )
+        return (_unbroadcast(g * b.values, a.values.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.values, b.values.shape) if b.requires_grad else None)
 
     return _make(values, "mul", (a, b), rule)
 
@@ -188,9 +188,9 @@ def div(a, b):
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}") from None
 
     def rule(g):
-        ga = _unbroadcast(g / b.values, a.values.shape)
-        gb = _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape)
-        return ga, gb
+        return (_unbroadcast(g / b.values, a.values.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape)
+                if b.requires_grad else None)
 
     return _make(values, "div", (a, b), rule)
 
@@ -405,10 +405,9 @@ def slice_rows(a, start, stop):
 def softmax_cross_entropy(z, target):
     """Mean cross-entropy of ``softmax(z)`` against ``target`` rows, as one node.
 
-    ``target`` holds one-hot labels or a distribution per row and is
-    treated as constant. A single vector gives the plain cross-entropy; a
-    batch is averaged over its rows. Values and gradients are
-    bit-identical to the composed graph
+    ``z`` is a batch of logit rows; ``target`` holds one-hot labels or a
+    distribution per row and is treated as constant. Values and gradients
+    are bit-identical to the composed graph
     ``-mean(sum(target * log(softmax(z)), -1))``, log floored at
     ``LOG_FLOOR``: the backward repeats its operations in the order the
     graph walk would run them. Non-finite logits raise ``NumericError``.
@@ -417,18 +416,18 @@ def softmax_cross_entropy(z, target):
     target = _promote(target).values
     if z.shape != target.shape:
         raise ShapeError(f"softmax_cross_entropy: shapes differ, {z.shape} vs {target.shape}")
-    if z.ndim not in (1, 2):
-        raise ShapeError(f"softmax_cross_entropy: expects 1-d or 2-d logits, got {z.shape}")
+    if z.ndim != 2:
+        raise ShapeError(f"softmax_cross_entropy: expects 2-d logits, got {z.shape}")
     if not np.all(np.isfinite(z.values)):
         raise NumericError("softmax_cross_entropy: logits contain non-finite values")
     p = softmax_values(z.values)
     floored = np.maximum(p, LOG_FLOOR)
     ll = (target * np.log(floored)).sum(axis=-1)
-    inv_n = 1.0 / ll.size if z.ndim == 2 else None
-    values = -ll if inv_n is None else -(ll.sum() * inv_n)
+    inv_n = 1.0 / ll.size
+    values = -(ll.sum() * inv_n)
 
     def rule(g):
-        g = -g if inv_n is None else -g * inv_n
+        g = -g * inv_n
         return (_softmax_grad(p, g * target / floored),)
 
     return _make(values, "softmax_cross_entropy", (z,), rule)
@@ -445,20 +444,19 @@ def _row_distance(op, a, b, root):
     a, b = _promote(a), _promote(b)
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"{op}: expects 1-d or 2-d input, got {a.shape}")
+    if a.ndim != 2:
+        raise ShapeError(f"{op}: expects 2-d input, got {a.shape}")
     d = a.values - b.values
     dist = (d * d).sum(axis=-1)
     denom = None
     if root:
         dist = np.sqrt(dist)
         denom = 2.0 * np.maximum(dist, LOG_FLOOR)
-    inv_n = 1.0 / dist.size if a.ndim == 2 else None
-    values = dist if inv_n is None else dist.sum() * inv_n
+    inv_n = 1.0 / dist.size
+    values = dist.sum() * inv_n
 
     def rule(g):
-        if inv_n is not None:
-            g = g * inv_n
+        g = g * inv_n
         if denom is not None:
             g = g / denom
         g_d = g[..., None] * d
@@ -470,12 +468,12 @@ def _row_distance(op, a, b, root):
 
 
 def mse(a, b):
-    """Squared difference, summed over the last axis, averaged over rows."""
+    """Squared difference, summed over each row, averaged over the rows."""
     return _row_distance("mse", a, b, root=False)
 
 
 def l2_distance(a, b):
-    """Unsquared L2 distance between rows, averaged over the rows of a batch."""
+    """Unsquared L2 distance between rows, averaged over the rows."""
     return _row_distance("l2_distance", a, b, root=True)
 
 
@@ -506,8 +504,8 @@ def cosine_loss(a, b):
     b = _promote(b).values
     if a.shape != b.shape:
         raise ShapeError(f"cosine_loss: shapes differ, {a.shape} vs {b.shape}")
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"cosine_loss: expects 1-d or 2-d input, got {a.shape}")
+    if a.ndim != 2:
+        raise ShapeError(f"cosine_loss: expects 2-d input, got {a.shape}")
     dot, norm_a, norm_b, denom = _cosine_parts(a.values, b)
     cos = dot / denom
     inv_n = 1.0 / cos.size

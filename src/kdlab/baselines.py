@@ -299,5 +299,5 @@ def train_with_mode(dataset, teacher, cfg, seed):
         records=records, usage=usage, student=student, adaptor=adaptor,
         top1=top_k_accuracy(test_logits, dataset.test_y, 1),
         top5=top_k_accuracy(test_logits, dataset.test_y, k5),
-        mimicry=mimicry_kl(teacher, student, dataset.test_x),
+        mimicry=mimicry_kl(teacher.predict(dataset.test_x)[1], test_logits),
         detector=detector if use_ood else None)

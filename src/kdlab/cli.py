@@ -16,8 +16,8 @@ import numpy as np
 from .config import POLICIES, ConfigError, override, parse_config
 from .data import SettingError, export_csv, generate, save_dataset
 from .distill import AccuracyFloorError, DivergenceError
-from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher,
-                      run, sweep, teacher_path, write_compare_csv)
+from .harness import (SWEEP_FRACTIONS, _checked_teacher, compare, compare_markdown,
+                      get_teacher, run, sweep, teacher_path, write_compare_csv)
 from .metrics import evaluate_accuracy, feature_dump
 from .models import build_pair, load_checkpoint
 
@@ -112,8 +112,8 @@ def _cmd_pretrain(args):
         cfg = override(cfg, cache_dir=args.out)
     ds = generate(cfg.dataset)
     for seed in cfg.run.seeds:
-        teacher = get_teacher(cfg, ds, seed)
-        acc = evaluate_accuracy(teacher, ds.test_x, ds.test_y)
+        teacher, acc = _checked_teacher(cfg, ds, seed)
+        acc = evaluate_accuracy(teacher, ds.test_x, ds.test_y) if acc is None else acc
         print(f"teacher seed {seed}: {teacher_path(cfg, seed)} (held-out acc {acc:.4f})")
     return 0
 

@@ -55,6 +55,11 @@ def get_teacher(cfg, dataset, seed):
     """This trial's teacher, loaded from the cache or trained and cached, frozen.
     Either way, after nonzero teacher epochs, held-out accuracy below a nonzero
     ``teacher_floor`` raises ``AccuracyFloorError``; the teacher stays cached."""
+    return _checked_teacher(cfg, dataset, seed)[0]
+
+
+def _checked_teacher(cfg, dataset, seed):
+    """``get_teacher``'s teacher and the accuracy its floor check measured, or None."""
     os.makedirs(cfg.run.cache_dir, exist_ok=True)
     path = teacher_path(cfg, seed)
     teacher, _, _ = build_pair(cfg, seed)
@@ -72,11 +77,12 @@ def get_teacher(cfg, dataset, seed):
                                   exc.detail) from exc
         save_checkpoint(path, teacher.state_arrays())
     teacher.freeze()
+    accuracy = None
     if cfg.run.teacher_epochs and cfg.run.teacher_floor:
         accuracy = evaluate_accuracy(teacher, dataset.test_x, dataset.test_y)
         if accuracy < cfg.run.teacher_floor:
             raise AccuracyFloorError(accuracy, cfg.run.teacher_floor)
-    return teacher
+    return teacher, accuracy
 
 
 def run(cfg):

@@ -50,14 +50,14 @@ def evaluate_accuracy(net, x, y):
     return top_k_accuracy(net.predict(x)[1], y, 1)
 
 
-def mimicry_kl(teacher, student, x):
-    """Mean KL(teacher predictions || student predictions) over ``x``.
+def mimicry_kl(teacher_logits, student_logits):
+    """Mean KL(teacher predictions || student predictions) over logit rows.
 
     Zero when the two networks predict identically; lower means the
     student tracks the teacher's full output distribution more closely.
     """
-    pt = softmax_values(teacher.predict(x)[1])
-    ps = softmax_values(student.predict(x)[1])
+    pt = softmax_values(teacher_logits)
+    ps = softmax_values(student_logits)
     log_ratio = np.log(np.maximum(pt, LOG_FLOOR)) - np.log(np.maximum(ps, LOG_FLOOR))
     return float((pt * log_ratio).sum(axis=-1).mean())
 

@@ -1,8 +1,10 @@
-"""Teacher and student networks: extractor, classifier, feature adaptor.
+"""Teacher and student networks and the feature adaptor.
 
-A network is a multilayer perceptron feature extractor plus a bias-free
-linear classifier; ``forward`` returns the pair (features, logits) as
-graph tensors for training, ``predict`` the same pair as plain arrays.
+A network is a stack of affine layers with ReLU, an optional
+batch-normalization step before the final ReLU (so features are
+nonnegative), and a bias-free linear classifier; ``forward`` returns the
+pair (features, logits) as graph tensors for training, ``predict`` the
+same pair as plain arrays.
 The adaptor bridges student feature width to teacher feature width so
 the teacher's classifier can score adapted student features directly.
 """
@@ -88,43 +90,6 @@ class BatchNorm:
                 prefix + ".running_var": self.running_var}
 
 
-class FeatureExtractor:
-    """Stack of affine layers with ReLU, ending in the feature map.
-
-    The final activation is also ReLU, so features are nonnegative; when
-    ``feature_norm`` is set a batch-normalization step runs between the
-    last affine layer and that activation.
-    """
-
-    def __init__(self, input_dim, hidden, feature_dim, rng,
-                 feature_norm=False):
-        dims = [int(input_dim), *[int(h) for h in hidden], int(feature_dim)]
-        self.layers = [Affine(a, b, rng) for a, b in zip(dims, dims[1:])]
-        self.norm = BatchNorm(feature_dim) if feature_norm else None
-
-    def __call__(self, x, train=False):
-        for layer in self.layers[:-1]:
-            x = layer(x, relu=True)
-        x = self.layers[-1](x)
-        if self.norm is not None:
-            x = self.norm(x, train)
-        return x.relu()
-
-    def parameters(self):
-        params = [p for layer in self.layers for p in layer.parameters()]
-        if self.norm is not None:
-            params += self.norm.parameters()
-        return params
-
-    def state_arrays(self, prefix="extractor"):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.state_arrays(f"{prefix}.layer{i}"))
-        if self.norm is not None:
-            out.update(self.norm.state_arrays(f"{prefix}.norm"))
-        return out
-
-
 class Classifier:
     """Bias-free linear classifier: logits = x @ W, W of shape (d, K)."""
 
@@ -147,16 +112,20 @@ class Classifier:
 
 
 class Network:
-    """Feature extractor plus classifier with a shared frozen flag.
+    """Affine layers with ReLU, an optional feature norm, a bias-free classifier.
 
-    ``freeze()`` takes every parameter out of the gradient graph for good
-    and fixes the normalization statistics, so a frozen network is a
-    deterministic per-sample function.
-    """
+    The last affine layer maps to the features; a batch-normalization step
+    (``arch.feature_norm``) sits before its final ReLU, so features are
+    nonnegative. ``freeze()`` takes every parameter out of the gradient
+    graph for good and fixes the normalization statistics, so a frozen
+    network is a deterministic per-sample function. ``make_network``
+    builds every network."""
 
-    def __init__(self, extractor, classifier):
-        self.extractor = extractor
-        self.classifier = classifier
+    def __init__(self, input_dim, arch, classes, rng):
+        dims = [int(input_dim), *[int(h) for h in arch.hidden], int(arch.feature_dim)]
+        self.layers = [Affine(a, b, rng) for a, b in zip(dims, dims[1:])]
+        self.norm = BatchNorm(arch.feature_dim) if arch.feature_norm else None
+        self.classifier = Classifier(arch.feature_dim, classes, rng)
         self.frozen = False
 
     def forward(self, x, train=False):
@@ -166,7 +135,12 @@ class Network:
         buffers, except on a frozen network, whose buffers never move.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        features = self.extractor(x, train=train and not self.frozen)
+        for layer in self.layers[:-1]:
+            x = layer(x, relu=True)
+        x = self.layers[-1](x)
+        if self.norm is not None:
+            x = self.norm(x, train and not self.frozen)
+        features = x.relu()
         return features, self.classifier(features)
 
     def predict(self, x):
@@ -188,7 +162,10 @@ class Network:
         return feats, logits
 
     def parameters(self):
-        return self.extractor.parameters() + self.classifier.parameters()
+        params = [p for layer in self.layers for p in layer.parameters()]
+        if self.norm is not None:
+            params += self.norm.parameters()
+        return params + self.classifier.parameters()
 
     def freeze(self):
         self.frozen = True
@@ -197,8 +174,12 @@ class Network:
             p.grad = None
 
     def state_arrays(self):
-        out = self.extractor.state_arrays("extractor")
-        out.update(self.classifier.state_arrays("classifier"))
+        out = {}
+        for i, layer in enumerate(self.layers):
+            out.update(layer.state_arrays(f"extractor.layer{i}"))
+        if self.norm is not None:
+            out.update(self.norm.state_arrays("extractor.norm"))
+        out.update(self.classifier.state_arrays())
         return out
 
     def load_state(self, arrays):
@@ -253,11 +234,8 @@ def parameter_count(input_dim, arch, classes):
 
 def make_network(input_dim, arch, classes, seed):
     """Build one network from an ``Arch`` description, deterministically."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    extractor = FeatureExtractor(input_dim, arch.hidden, arch.feature_dim, rng,
-                                 feature_norm=arch.feature_norm)
-    classifier = Classifier(arch.feature_dim, classes, rng)
-    return Network(extractor, classifier)
+    return Network(input_dim, arch, classes,
+                   np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def build_pair(cfg, seed):

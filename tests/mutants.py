@@ -22,6 +22,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+STATE_PREFIXES = ('            out.update(layer.state_arrays(f"extractor.layer{i}"))\n',
+                  '            out.update(self.norm.state_arrays("extractor.norm"))\n')
+
 DAC_DRAWS = ("            x[n:] = augment(x[n:], cfg.baselines.dac_strength, aug_rng)\n",
              "            view2 = augment(x_all[idx[n:]], cfg.baselines.dac_strength, aug_rng)\n")
 
@@ -62,6 +65,12 @@ MUTANTS = {
         ("harness.py", "epochs, int(seed)))", "epochs))"),
     "cached teacher handed out unfrozen":
         ("harness.py", "    teacher.freeze()\n", "    cached or teacher.freeze()\n"),
+    "last feature layer applies ReLU before the norm":
+        ("models.py", "x = self.layers[-1](x)", "x = self.layers[-1](x, relu=True)"),
+    "Network.state_arrays drops the extractor. prefix":
+        ("models.py", "        if self.norm is not None:\n".join(STATE_PREFIXES),
+         "        if self.norm is not None:\n".join(
+             line.replace("extractor.", "") for line in STATE_PREFIXES)),
     "Network.freeze leaves requires_grad on":
         ("models.py", "p.requires_grad = False", "p.requires_grad = True"),
     "load_arrays accepts trailing bytes":

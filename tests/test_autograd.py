@@ -8,10 +8,10 @@ from helpers import (CHECKED_OPS, composed_cosine_loss, composed_cross_entropy,
                      composed_logistic_loss, composed_row_distance, gradcheck,
                      op_instance, sweep_ops)
 from kdlab.autograd import (LAST_BACKWARD_STATS, LOG_FLOOR, NumericError,
-                            ShapeError, Tensor, backward, cosine_loss, cosine_rows,
+                            ShapeError, Tensor, add, backward, cosine_loss, cosine_rows,
                             div, l2_distance, log, logistic_loss, matmul, mse, mul,
                             no_grad, relu, sigmoid, slice_rows, softmax,
-                            softmax_cross_entropy, softmax_values, tensor_mean,
+                            softmax_cross_entropy, softmax_values, sub, tensor_mean,
                             tensor_sum)
 from kdlab.optim import Sgd
 
@@ -134,7 +134,7 @@ def _head_case(name, rows, rng):
 
     Shapes are the standard preset's: 8 classes, 64 teacher features,
     32 labeled and 64 unlabeled rows per step. ``rows`` of 0 asks for
-    single vectors where the op takes them.
+    single vectors, which only the composed graph takes.
     """
     def shape(k):
         return (rows, k) if rows else (k,)
@@ -149,7 +149,7 @@ def _head_case(name, rows, rng):
             target = np.zeros_like(z)
             target[..., 0] = 1.0
         target = target.reshape(z.shape)
-        return (lambda tz: softmax_cross_entropy(tz, target),
+        return (lambda tz: softmax_cross_entropy(tz, target.reshape(tz.shape)),
                 lambda tz: composed_cross_entropy(tz, target), [z], [True])
     if name in ("mse", "mse_both", "reg"):
         k = 64 if name == "reg" else 8
@@ -161,7 +161,7 @@ def _head_case(name, rows, rng):
         return (mse, composed_row_distance, [a, b], [name == "mse_both", True])
     if name == "dac":
         a, b = rng.standard_normal(shape(8)), rng.standard_normal(shape(8))
-        return (lambda ta: cosine_loss(ta, b),
+        return (lambda ta: cosine_loss(ta, b.reshape(ta.shape)),
                 lambda ta: composed_cosine_loss(ta, b), [a], [True])
     if name == "detector":
         xp, xn = rng.standard_normal((32, 64)) * 2.0, rng.standard_normal((32, 64)) * 2.0
@@ -175,7 +175,9 @@ def _head_case(name, rows, rng):
 HEADS = ("ce", "kd", "floored", "mse", "mse_both", "reg", "dac", "detector")
 
 
-# The detector scores batches of feature rows only: no single-vector case.
+# The detector has no single-vector case. In the others, the fused head
+# refuses a vector and takes it as a one-row batch, with the bits the
+# composed graph gives the vector.
 SHAPED_HEADS = [(name, rows) for name in HEADS for rows in (96, 0)
                 if (name, rows) != ("detector", 0)]
 
@@ -185,9 +187,13 @@ SHAPED_HEADS = [(name, rows) for name in HEADS for rows in (96, 0)
                          ids=[f"{n}-{'batch' if r else 'vector'}" for n, r in SHAPED_HEADS])
 def test_fused_loss_heads_match_the_composed_graph_bit_for_bit(name, rows, scale):
     fused, composed, arrays, needs = _head_case(name, rows, np.random.default_rng(61))
+    if not rows:
+        with pytest.raises(ShapeError, match="expects 2-d"):
+            fused(*[Tensor(a) for a in arrays])
     runs = []
-    for build in (fused, composed):
-        inputs = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+    for build, batch in ((fused, not rows), (composed, False)):
+        inputs = [Tensor(a[None].copy() if batch else a.copy(), requires_grad=r)
+                  for a, r in zip(arrays, needs)]
         loss = build(*inputs)
         # scale != 1: the loss sits inside a weighted sum, as in a stage-2 total
         backward(loss if scale == 1.0 else Tensor(2.0) + scale * loss)
@@ -198,7 +204,7 @@ def test_fused_loss_heads_match_the_composed_graph_bit_for_bit(name, rows, scale
     for g, ref in zip(grads, ref_grads):
         assert (g is None) == (ref is None)
         if g is not None:
-            assert np.array_equal(g, ref)
+            assert np.array_equal(g.reshape(ref.shape), ref)
 
 
 @pytest.mark.parametrize("name", HEADS)
@@ -278,6 +284,20 @@ def test_matmul_computes_no_gradient_for_an_operand_that_needs_none():
     assert g_b is None and np.array_equal(g_a, g @ b.T)
     g_a, g_b = matmul(Tensor(a), Tensor(b, requires_grad=True)).node.rule(g)
     assert g_a is None and np.array_equal(g_b, a.T @ g)
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, div], ids=["add", "sub", "mul", "div"])
+def test_elementwise_ops_compute_no_gradient_for_a_constant_operand(op):
+    """A constant on either side, broadcast as kd's 1/T is, gets None."""
+    rng = np.random.default_rng(39)
+    a, c = rng.standard_normal((4, 3)), rng.uniform(0.5, 2.0, 3)
+    g = rng.standard_normal((4, 3))
+    twin = op(Tensor(a, requires_grad=True), Tensor(c, requires_grad=True)).node.rule(g)
+    g_a, g_c = op(Tensor(a, requires_grad=True), Tensor(c)).node.rule(g)
+    assert g_c is None and np.array_equal(g_a, twin[0])
+    g_c, g_a = op(Tensor(c), Tensor(a, requires_grad=True)).node.rule(g)
+    twin = op(Tensor(c, requires_grad=True), Tensor(a, requires_grad=True)).node.rule(g)
+    assert g_c is None and np.array_equal(g_a, twin[1])
 
 
 def test_backward_accumulates_across_calls():

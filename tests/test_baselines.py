@@ -285,16 +285,17 @@ def _teacher_forwards(monkeypatch, cfg, ds, teacher):
             calls.append(len(x))
         return forward(net, x, train)
 
-    def mimicry(t, s, x):
+    def mimicry(z_t, z_s):
         at_end.append(len(calls))
-        return metrics.mimicry_kl(t, s, x)
+        return metrics.mimicry_kl(z_t, z_s)
 
     with monkeypatch.context() as m:
         m.setattr(Network, "forward", counted)
         m.setattr(baselines, "mimicry_kl", mimicry)
         train_with_mode(ds, teacher, cfg, 0)
-    assert len(calls) == at_end[0] + 1
-    return sorted(calls[:at_end[0]])
+    # the last forward scores the test rows for mimicry_kl
+    assert len(calls) == at_end[0] and calls[-1] == len(ds.test_x)
+    return sorted(calls[:-1])
 
 
 def test_the_frozen_teacher_runs_per_trial_not_per_step(monkeypatch):

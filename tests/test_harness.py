@@ -11,13 +11,13 @@ import pytest
 
 import kdlab
 import mutants
-from kdlab import harness, metrics
+from kdlab import cli, harness, metrics
 from kdlab.config import POLICIES, ConfigError, override, parse_config
 from kdlab.data import SettingError, generate
 from kdlab.distill import MODES, AccuracyFloorError, DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
-                           teacher_cache_key, write_compare_csv)
+                           teacher_cache_key, teacher_path, write_compare_csv)
 from kdlab.models import build_pair
 
 TINY = """
@@ -537,6 +537,29 @@ def test_cli_reports_a_missed_floor_with_code_3(tmp_path):
     code, out, err = _cli(args, cwd=tmp_path)
     assert code == 0, err
     assert os.path.getmtime(cache / missed) == stamp
+
+
+@pytest.mark.parametrize("floor", [0.3, 0.0])
+def test_cli_pretrain_evaluates_each_teacher_once(tmp_path, monkeypatch, capsys, floor):
+    """The floor check's accuracy is the one printed; no floor, one evaluation."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY.replace("teacher_floor = 0.0", f"teacher_floor = {floor}"))
+    evaluated = []
+    original = metrics.evaluate_accuracy
+
+    def counted(*args):
+        evaluated.append(original(*args))
+        return evaluated[-1]
+
+    monkeypatch.setattr(harness, "evaluate_accuracy", counted)
+    monkeypatch.setattr(cli, "evaluate_accuracy", counted)
+    args = ["pretrain", "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert len(evaluated) == 1
+    path = teacher_path(override(parse_config(TINY), cache_dir=str(tmp_path)), 0)
+    assert line == f"teacher seed 0: {path} (held-out acc {evaluated[0]:.4f})"
+    assert evaluated[0] >= floor
 
 
 def test_cli_reports_divergence_with_code_4(tmp_path):

@@ -16,20 +16,19 @@ from kdlab.config import ArchParams, parse_config
 from kdlab.data import one_hot
 from kdlab.distill import MODES
 from kdlab.models import (Adaptor, Affine, BatchNorm, CHECKPOINT_MAGIC,
-                          Classifier, FeatureExtractor, Network, build_pair,
-                          load_checkpoint, make_network, parameter_count,
-                          save_checkpoint)
+                          Classifier, Network, build_pair, load_checkpoint,
+                          make_network, parameter_count, save_checkpoint)
 from kdlab.optim import Sgd
 
 
 def _manual_forward(net, x):
-    """Replay the extractor and classifier in plain numpy, eval mode."""
+    """Replay the layers, norm and classifier in plain numpy, eval mode."""
     h = x
-    for layer in net.extractor.layers[:-1]:
+    for layer in net.layers[:-1]:
         h = np.maximum(h @ layer.weight.values + layer.bias.values, 0.0)
-    last = net.extractor.layers[-1]
+    last = net.layers[-1]
     h = h @ last.weight.values + last.bias.values
-    bn = net.extractor.norm
+    bn = net.norm
     if bn is not None:
         h = (h - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         h = h * bn.gamma.values + bn.beta.values
@@ -111,6 +110,35 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert np.array_equal(loaded[name], state[name]), name
     with open(path, "rb") as fh:
         assert fh.readline().decode().strip() == CHECKPOINT_MAGIC
+
+
+# Checkpoints and the teacher cache store arrays under these names; a model
+# refactor that renames one breaks every cached teacher and saved student.
+PRESET_STATE = {
+    "teacher": [("extractor.layer0.weight", (32, 256)), ("extractor.layer0.bias", (256,)),
+                ("extractor.layer1.weight", (256, 256)), ("extractor.layer1.bias", (256,)),
+                ("extractor.layer2.weight", (256, 64)), ("extractor.layer2.bias", (64,)),
+                ("extractor.norm.gamma", (64,)), ("extractor.norm.beta", (64,)),
+                ("extractor.norm.running_mean", (64,)), ("extractor.norm.running_var", (64,)),
+                ("classifier.weight", (64, 8))],
+    "student": [("extractor.layer0.weight", (32, 32)), ("extractor.layer0.bias", (32,)),
+                ("extractor.layer1.weight", (32, 32)), ("extractor.layer1.bias", (32,)),
+                ("extractor.layer2.weight", (32, 16)), ("extractor.layer2.bias", (16,)),
+                ("extractor.norm.gamma", (16,)), ("extractor.norm.beta", (16,)),
+                ("extractor.norm.running_mean", (16,)), ("extractor.norm.running_var", (16,)),
+                ("classifier.weight", (16, 8))],
+    "adaptor": [("adaptor.affine.weight", (16, 64)), ("adaptor.affine.bias", (64,)),
+                ("adaptor.norm.gamma", (64,)), ("adaptor.norm.beta", (64,)),
+                ("adaptor.norm.running_mean", (64,)), ("adaptor.norm.running_var", (64,))],
+}
+
+
+def test_preset_state_arrays_keep_their_names_and_shapes():
+    """Pinned without an environment check, unlike the digest tables."""
+    _, nets = _preset_pair()
+    for role, net in zip(("teacher", "student", "adaptor"), nets):
+        got = [(name, arr.shape) for name, arr in net.state_arrays().items()]
+        assert got == PRESET_STATE[role], role
 
 
 def test_checkpoint_rejects_foreign_header(tmp_path):
@@ -238,10 +266,10 @@ def test_frozen_network_is_constant_and_gradient_free():
         assert p.grad is None
 
     x = rng.standard_normal((5, 6))
-    mean_before = net.extractor.norm.running_mean.copy()
+    mean_before = net.norm.running_mean.copy()
     feats, logits = net.forward(x, train=True)
     # train=True must not touch buffers or build a graph on a frozen net
-    assert np.array_equal(net.extractor.norm.running_mean, mean_before)
+    assert np.array_equal(net.norm.running_mean, mean_before)
     assert not logits.requires_grad
     _, again = net.forward(x, train=True)
     assert np.array_equal(logits.values, again.values)
@@ -297,8 +325,7 @@ def test_build_pair_teacher_ignores_student_architecture():
     b = t2.state_arrays()
     for name in a:
         assert np.array_equal(a[name], b[name]), name
-    assert s1.extractor.layers[0].weight.values.shape != \
-        s2.extractor.layers[0].weight.values.shape
+    assert s1.layers[0].weight.values.shape != s2.layers[0].weight.values.shape
 
 
 def test_build_pair_seed_changes_everything():
@@ -373,12 +400,12 @@ def _composed_batchnorm(bn, x):
     return normed * bn.gamma + bn.beta
 
 
-def _composed_extractor(ext, x):
-    for layer in ext.layers[:-1]:
+def _composed_features(net, x):
+    for layer in net.layers[:-1]:
         x = _composed_affine(layer, x, relu=True)
-    x = _composed_affine(ext.layers[-1], x)
-    if ext.norm is not None:
-        x = _composed_batchnorm(ext.norm, x)
+    x = _composed_affine(net.layers[-1], x)
+    if net.norm is not None:
+        x = _composed_batchnorm(net.norm, x)
     return x.relu()
 
 
@@ -393,12 +420,11 @@ def _preset_pair(seed=0):
 
 def _assert_same_state(a, b):
     """Same parameters, running statistics and parameter gradients."""
-    for part_a, part_b in ((a.extractor, b.extractor), (a.classifier, b.classifier)) \
-            if isinstance(a, Network) else ((a, b),):
-        state_a, state_b = part_a.state_arrays("m"), part_b.state_arrays("m")
-        assert state_a.keys() == state_b.keys()
-        for name in state_a:
-            assert np.array_equal(state_a[name], state_b[name]), name
+    prefix = () if isinstance(a, Network) else ("m",)
+    state_a, state_b = a.state_arrays(*prefix), b.state_arrays(*prefix)
+    assert state_a.keys() == state_b.keys()
+    for name in state_a:
+        assert np.array_equal(state_a[name], state_b[name]), name
     for p, q in zip(a.parameters(), b.parameters()):
         assert np.array_equal(p.grad, q.grad)
 
@@ -413,7 +439,7 @@ def test_fused_teacher_step_matches_composed_graph():
 
     feats, logits = fused.forward(x, train=True)
     backward(softmax_cross_entropy(logits, y))
-    ref_feats = _composed_extractor(composed.extractor, Tensor(x))
+    ref_feats = _composed_features(composed, Tensor(x))
     ref_logits = composed.classifier(ref_feats)
     backward(composed_cross_entropy(ref_logits, y))
 
@@ -469,9 +495,9 @@ def _assert_step_matches_composed_graph(mode, variant):
     backward(total)
 
     def composed_student(rows):
-        return composed.classifier(_composed_extractor(composed.extractor, Tensor(rows)))
+        return composed.classifier(_composed_features(composed, Tensor(rows)))
 
-    feats_s = _composed_extractor(composed.extractor, Tensor(x))
+    feats_s = _composed_features(composed, Tensor(x))
     logits_s = composed.classifier(feats_s)
     ce = composed_cross_entropy(slice_rows(logits_s, 0, 32), y)
     ref_total = ce
