@@ -101,7 +101,8 @@ def ood_filter(detector, features, ind_flags):
 class RunResult:
     """Everything a single stage-2 trial produces.
 
-    ``detector`` is populated by the +ood modes only.
+    ``top1``, ``top5`` and ``mimicry`` score the last epoch's student on
+    the test rows. ``detector`` is the +ood modes' detector, else None.
     """
 
     records: list
@@ -111,7 +112,7 @@ class RunResult:
     top1: float
     top5: float
     mimicry: float
-    detector: object = None
+    detector: object
 
 
 def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
@@ -224,13 +225,6 @@ def _ood_step(detector, det_opt, det_rng, feats_l, feats_u, ind_flags, usage):
     return np.flatnonzero(kept)
 
 
-def _epoch_record(run_id, mode, seed, epoch, means, student, dataset):
-    return MetricsRecord(
-        run=run_id, mode=mode, seed=seed, epoch=epoch, **means,
-        train_acc=evaluate_accuracy(student, dataset.labeled_x, dataset.labeled_y),
-        test_acc=evaluate_accuracy(student, dataset.test_x, dataset.test_y))
-
-
 def train_with_mode(dataset, teacher, cfg, seed):
     """Stage 2: train one student under the configured mode.
 
@@ -245,16 +239,18 @@ def train_with_mode(dataset, teacher, cfg, seed):
     terms = MODES[mode]
     use_ood, use_dac = "ood" in terms, "dac" in terms
 
-    _, student, adaptor = build_pair(cfg, seed)
+    student, adaptor = build_pair(cfg, seed)[1:]  # its fresh teacher is freed at once
     nets = (teacher, student, adaptor)
     streams = np.random.SeedSequence([seed, 0xD15]).spawn(4)
     select_seed = int(streams[0].generate_state(1)[0])
-    det_rng = np.random.default_rng(streams[1])
     aug_rng = np.random.default_rng(streams[2])
-    detector = OodDetector(cfg.teacher.feature_dim,
-                           np.random.default_rng(streams[3]),
-                           threshold=cfg.baselines.ood_threshold)
-    det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
+    detector = det_opt = det_rng = None
+    if use_ood:
+        det_rng = np.random.default_rng(streams[1])
+        detector = OodDetector(cfg.teacher.feature_dim,
+                               np.random.default_rng(streams[3]),
+                               threshold=cfg.baselines.ood_threshold)
+        det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
     x_all, table, pool_ind, pseudo_y, pseudo_weight = _trial_setup(
         dataset, teacher, cfg, terms, select_seed)
     counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
@@ -284,20 +280,23 @@ def train_with_mode(dataset, teacher, cfg, seed):
     params = list(student.parameters())
     if "srd" in terms:
         params += adaptor.parameters()
-    records, usage = [], []
-    run_id = f"{mode}-seed{seed}"
+    records, usage, test_logits = [], [], None
     for epoch, means in train_epochs(mode, seed, params, cfg.optimizer, cfg.run.epochs,
                                      n_l, step, n_pool=len(x_all) - n_l):
-        records.append(_epoch_record(run_id, mode, seed, epoch, means, student, dataset))
+        test_logits = student.predict(dataset.test_x)[1]
+        records.append(MetricsRecord(
+            epoch=epoch, **means,
+            train_acc=evaluate_accuracy(student, dataset.labeled_x, dataset.labeled_y),
+            test_acc=top_k_accuracy(test_logits, dataset.test_y, 1)))
         if use_ood:
             usage.append({"epoch": epoch, **counts})
             counts.update(dict.fromkeys(counts, 0))
-
-    _, test_logits = student.predict(dataset.test_x)
+    if test_logits is None:  # a zero-epoch trial scores the student it started with
+        test_logits = student.predict(dataset.test_x)[1]
     k5 = min(5, dataset.params.classes)
     return RunResult(
         records=records, usage=usage, student=student, adaptor=adaptor,
         top1=top_k_accuracy(test_logits, dataset.test_y, 1),
         top5=top_k_accuracy(test_logits, dataset.test_y, k5),
         mimicry=mimicry_kl(teacher.predict(dataset.test_x)[1], test_logits),
-        detector=detector if use_ood else None)
+        detector=detector)

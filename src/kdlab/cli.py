@@ -25,8 +25,6 @@ from .models import build_pair, load_checkpoint
 def _add_common(p):
     p.add_argument("--config", metavar="PATH",
                    help="configuration file; defaults apply when omitted")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="replace the configured seed list with this one seed")
     p.add_argument("--out", metavar="DIR", help="output directory")
 
 
@@ -68,6 +66,10 @@ def _build_parser():
     p.add_argument("--checkpoint", metavar="PATH",
                    help="weights to load; defaults to the cached teacher")
     p.add_argument("--split", choices=("labeled", "test"), default="test")
+    # Not generate-data: the dataset draws from [dataset] seed, not the trial seeds.
+    for name in ("pretrain", "distill", "sweep", "dump-features"):
+        sub.choices[name].add_argument("--seed", type=int, metavar="N",
+                                       help="replace the configured seed list with this one seed")
     return parser
 
 

@@ -89,11 +89,8 @@ def roc_auc(scores, positive):
 
 @dataclasses.dataclass
 class MetricsRecord:
-    """One epoch of one trial: loss components and accuracies."""
+    """One epoch of one trial; its fields are ``METRICS_COLUMNS``, in order."""
 
-    run: str
-    mode: str
-    seed: int
     epoch: int
     ce: float
     srd: float

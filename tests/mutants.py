@@ -50,6 +50,14 @@ MUTANTS = {
         ("baselines.py", "cfg.srd.alpha * srd + cfg.srd.beta * reg", "cfg.srd.alpha * srd"),
     "+ood keeps the rows its filter drops":
         ("baselines.py", "u_idx = u_idx[keep]", "u_idx = u_idx"),
+    "+ood trial returns no detector":
+        ("baselines.py", "detector=detector)", "detector=None)"),
+    "zero-epoch trial left unscored":
+        ("baselines.py", "if test_logits is None:", "if False:"),
+    "trial's top-1 read from the first epoch's test logits":
+        ("baselines.py", "top1=top_k_accuracy(test_logits, dataset.test_y, 1)",
+         "top1=records[0].test_acc if records else "
+         "top_k_accuracy(test_logits, dataset.test_y, 1)"),
     "lr_at decays only after a milestone epoch":
         ("distill.py", "if epoch >= m:", "if epoch > m:"),
     "Sgd.step drops weight decay":

@@ -618,6 +618,23 @@ def test_every_mutant_edits_text_its_source_file_holds_once():
         assert new != old, name
 
 
+@pytest.mark.parametrize("command", ["pretrain", "distill", "sweep", "dump-features"])
+def test_cli_seed_flag_is_checked_where_it_is_offered(tmp_path, command):
+    code, out, err = _cli([command, "--seed", "-1"], cwd=tmp_path)
+    assert code == 2, err
+    assert err.startswith("config error: --seed: must be nonnegative")
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_generate_data_takes_no_seed(tmp_path):
+    # the dataset draws from [dataset] seed, so a trial seed would be ignored
+    code, out, err = _cli(["generate-data", "--seed", "5",
+                           "--out", str(tmp_path / "data")], cwd=tmp_path)
+    assert code == 2, err
+    assert "unrecognized arguments: --seed 5" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_generate_data_writes_the_dataset(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(TINY)

@@ -1,5 +1,7 @@
 """Metric oracles and the CSV writers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,9 +142,10 @@ def test_usage_curve_recounts_the_rows():
 
 
 def test_metrics_csv_fixed_column_order(tmp_path):
-    rec = MetricsRecord(run="r", mode="srd", seed=0, epoch=3, ce=0.5,
-                        srd=0.25, reg=1.5, total=2.25, train_acc=0.75,
-                        test_acc=0.5)
+    rec = MetricsRecord(epoch=3, ce=0.5, srd=0.25, reg=1.5, total=2.25,
+                        train_acc=0.75, test_acc=0.5)
+    # the record holds exactly the columns it writes
+    assert tuple(f.name for f in dataclasses.fields(MetricsRecord)) == METRICS_COLUMNS
     path = tmp_path / "metrics.csv"
     write_metrics_csv(str(path), [rec])
     lines = path.read_text().splitlines()
