@@ -22,7 +22,7 @@ from .data import augment, one_hot, select_unlabeled
 from .distill import MODES, feature_reg, srd_loss, train_epochs
 from .metrics import (USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, mimicry_kl,
                       top_k_accuracy)
-from .models import build_pair
+from .models import build_student
 from .optim import Sgd
 
 
@@ -239,7 +239,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
     terms = MODES[mode]
     use_ood, use_dac = "ood" in terms, "dac" in terms
 
-    student, adaptor = build_pair(cfg, seed)[1:]  # its fresh teacher is freed at once
+    student, adaptor = build_student(cfg, seed)
     nets = (teacher, student, adaptor)
     streams = np.random.SeedSequence([seed, 0xD15]).spawn(4)
     select_seed = int(streams[0].generate_state(1)[0])

@@ -19,7 +19,7 @@ from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, _checked_teacher, compare, compare_markdown,
                       get_teacher, run, sweep, teacher_path, write_compare_csv)
 from .metrics import evaluate_accuracy, feature_dump
-from .models import build_pair, load_checkpoint
+from .models import build_student, build_teacher, load_checkpoint
 
 
 def _add_common(p):
@@ -167,10 +167,12 @@ def _cmd_dump_features(args):
     if args.net == "teacher" and not args.checkpoint:
         net = get_teacher(cfg, ds, seed)
     else:
-        teacher, student, _ = build_pair(cfg, seed)
-        net = teacher if args.net == "teacher" else student
         if not args.checkpoint:
             raise ConfigError("dump-features: student dumps need --checkpoint")
+        if args.net == "teacher":
+            net = build_teacher(cfg, seed)
+        else:
+            net, _ = build_student(cfg, seed)
         arrays = load_checkpoint(args.checkpoint)
         net.load_state({k: v for k, v in arrays.items()
                         if not k.startswith("adaptor.")})

@@ -26,7 +26,7 @@ from .distill import AccuracyFloorError, DivergenceError, pretrain_teacher
 from .fileio import atomic_open
 from .metrics import (evaluate_accuracy, fmt, summary_stats, write_csv,
                       write_metrics_csv, write_usage_csv, write_usage_curve_csv)
-from .models import build_pair, load_checkpoint, save_checkpoint
+from .models import build_teacher, load_checkpoint, save_checkpoint
 
 SUMMARY_COLUMNS = ("run", "mode", "seed", "top1", "top5", "mimicry_kl")
 SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
@@ -62,7 +62,7 @@ def _checked_teacher(cfg, dataset, seed):
     """``get_teacher``'s teacher and the accuracy its floor check measured, or None."""
     os.makedirs(cfg.run.cache_dir, exist_ok=True)
     path = teacher_path(cfg, seed)
-    teacher, _, _ = build_pair(cfg, seed)
+    teacher = build_teacher(cfg, seed)
     cached = os.path.exists(path)
     if cached:
         teacher.load_state(load_checkpoint(path))

@@ -238,24 +238,26 @@ def make_network(input_dim, arch, classes, seed):
                    np.random.default_rng(np.random.SeedSequence(seed)))
 
 
-def build_pair(cfg, seed):
-    """Teacher, student and adaptor for one trial seed.
+def _part_seeds(seed):
+    """Teacher, student and adaptor seeds of one trial seed, from independent
+    streams, so changing the student architecture never perturbs the teacher."""
+    return [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(3)]
 
-    The three parts draw from independent seed streams, so changing the
-    student architecture never perturbs the teacher's initialization.
-    The teacher comes back trainable (stage 1 trains it);
-    ``harness.get_teacher`` freezes it. The config has already checked
-    the capacity rule.
-    """
-    input_dim = cfg.dataset.input_dim
-    classes = cfg.dataset.classes
-    t_seed, s_seed, a_seed = [s.generate_state(1)[0]
-                              for s in np.random.SeedSequence(seed).spawn(3)]
-    teacher = make_network(input_dim, cfg.teacher, classes, t_seed)
-    student = make_network(input_dim, cfg.student, classes, s_seed)
+
+def build_teacher(cfg, seed):
+    """The trial seed's teacher at its initialization, trainable: stage 1
+    trains it and ``harness.get_teacher`` freezes it."""
+    t_seed = _part_seeds(seed)[0]
+    return make_network(cfg.dataset.input_dim, cfg.teacher, cfg.dataset.classes, t_seed)
+
+
+def build_student(cfg, seed):
+    """The trial seed's (student, adaptor), which stage 2 trains. The config
+    has already checked the capacity rule."""
+    _, s_seed, a_seed = _part_seeds(seed)
+    student = make_network(cfg.dataset.input_dim, cfg.student, cfg.dataset.classes, s_seed)
     rng = np.random.default_rng(np.random.SeedSequence(a_seed))
-    adaptor = Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim, rng)
-    return teacher, student, adaptor
+    return student, Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim, rng)
 
 
 def save_checkpoint(path, named_arrays):

@@ -79,6 +79,10 @@ MUTANTS = {
         ("models.py", "        if self.norm is not None:\n".join(STATE_PREFIXES),
          "        if self.norm is not None:\n".join(
              line.replace("extractor.", "") for line in STATE_PREFIXES)),
+    "build_teacher takes the student's stream":
+        ("models.py", "t_seed = _part_seeds(seed)[0]", "t_seed = _part_seeds(seed)[1]"),
+    "build_student swaps the student's and the adaptor's streams":
+        ("models.py", "_, s_seed, a_seed = _part_seeds(seed)", "_, a_seed, s_seed = _part_seeds(seed)"),
     "Network.freeze leaves requires_grad on":
         ("models.py", "p.requires_grad = False", "p.requires_grad = True"),
     "load_arrays accepts trailing bytes":

@@ -14,7 +14,7 @@ from kdlab.data import (BatchSampler, SettingError, augment, generate, one_hot,
                         select_unlabeled)
 from kdlab.distill import DivergenceError, pretrain_teacher
 from kdlab.metrics import roc_auc
-from kdlab.models import Network, build_pair, make_network
+from kdlab.models import Network, build_student, build_teacher, make_network
 from kdlab.optim import Sgd
 
 TINY = """
@@ -50,7 +50,7 @@ seeds = 0
 def _setup(text=TINY, **run_updates):
     cfg = override(parse_config(text), **run_updates)
     ds = generate(cfg.dataset)
-    teacher, _, _ = build_pair(cfg, 0)
+    teacher = build_teacher(cfg, 0)
     pretrain_teacher(ds, teacher, cfg.optimizer, cfg.run.teacher_epochs, seed=99)
     teacher.freeze()
     return cfg, ds, teacher
@@ -147,7 +147,7 @@ def test_dac_on_identical_networks_is_minus_one():
 
 def test_dac_zero_strength_matches_the_forward_oracle():
     cfg, ds, teacher = _setup()
-    _, student, _ = build_pair(cfg, 1)
+    student, _ = build_student(cfg, 1)
     x = ds.unlabeled.inputs[:12]
     got = _dac_step(cfg, ds, student, teacher, x, 0.0, np.random.default_rng(1))
     _, z_t = teacher.forward(x)
@@ -160,7 +160,7 @@ def test_dac_zero_strength_matches_the_forward_oracle():
 
 def test_dac_views_replay_under_a_fixed_stream():
     cfg, ds, teacher = _setup()
-    _, student, _ = build_pair(cfg, 1)
+    student, _ = build_student(cfg, 1)
     x = ds.unlabeled.inputs[:8]
     a = _dac_step(cfg, ds, student, teacher, x, 1.0, np.random.default_rng(7))
     b = _dac_step(cfg, ds, student, teacher, x, 1.0, np.random.default_rng(7))
@@ -220,7 +220,7 @@ def test_detector_separates_disjoint_clusters():
 
 def _preset_teacher():
     cfg = parse_config("")
-    teacher, _, _ = build_pair(cfg, 0)
+    teacher = build_teacher(cfg, 0)
     teacher.freeze()
     return cfg, generate(cfg.dataset), teacher
 
@@ -245,7 +245,7 @@ def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
     for alone, joint in zip((*teacher.predict(ds.labeled_x), *teacher.predict(pool)),
                             (feats[:n_l], z_all[:n_l], feats[n_l:], z_all[n_l:])):
         assert np.array_equal(alone, joint)
-    _, student, _ = build_pair(cfg, 1)
+    student, _ = build_student(cfg, 1)
     student.forward(ds.labeled_x[:96], train=True)  # move the batch-norm buffers
     for net in (teacher, student):
         for x in (ds.labeled_x, ds.test_x):
@@ -410,7 +410,7 @@ def test_each_step_gathers_inputs_and_teacher_outputs_with_one_index(monkeypatch
 
 def test_zero_epochs_return_the_initial_student():
     cfg, ds, teacher = _setup(epochs=0)
-    _, init, _ = build_pair(cfg, 0)
+    init, _ = build_student(cfg, 0)
     for mode in ("supervised", "srd", "srd+ood", "srd+dac"):
         result = train_with_mode(ds, teacher, override(cfg, mode=mode), 0)
         assert result.records == [] and result.usage == [], mode
@@ -590,7 +590,7 @@ def test_engine_rejects_bad_inputs():
     with pytest.raises(SettingError) as err:
         override(cfg, mode="alchemy")
     assert err.value.key == "mode"
-    fresh, _, _ = build_pair(cfg, 0)
+    fresh = build_teacher(cfg, 0)
     with pytest.raises(ValueError):
         train_with_mode(ds, fresh, cfg, 0)
 

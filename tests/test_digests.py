@@ -5,7 +5,9 @@ pools under both selection policies train two seeds on a reduced config.
 The sha256[:16] of every file they write, the teacher cache included,
 must equal the pins in ``artifact_digests.json``. Bytes hold only per
 environment, so the pins carry the fingerprint they were taken under, and
-under any other fingerprint the test skips and says what differs.
+under any other fingerprint the test skips and says what differs. numpy's
+bundled OpenBLAS picks its kernel from the CPU when it loads, and the
+kernel changes the bytes, so the fingerprint names it.
 
 The data layer has no matrix product, so its outputs depend on Python and
 numpy only: ``data_digests.json`` pins the four presets' generated arrays,
@@ -13,22 +15,27 @@ an ``augment`` draw, ``random`` selection orders and one epoch of batch
 indices, and skips only when the Python or numpy version differs.
 """
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kdlab
 from kdlab.config import POLICIES, override, parse_config
 from kdlab.data import (DATASET_BLOCKS, BatchSampler, DatasetParams, augment, generate,
                         select_unlabeled)
 from kdlab.distill import MODES
 from kdlab.harness import run
 
-HERE = os.path.dirname(__file__)
+HERE = os.path.dirname(os.path.abspath(__file__))
 PINS = os.path.join(HERE, "artifact_digests.json")
 DATA_PINS = os.path.join(HERE, "data_digests.json")
 PRESETS = os.path.join(HERE, os.pardir, "presets")
@@ -57,11 +64,28 @@ CASES.update({f"{mode}-half-{policy}": {"mode": mode, "unlabeled_fraction": 0.5,
               for mode in ("srd", "pseudo_label", "srd+dac") for policy in POLICIES})
 
 
+def openblas_call(symbol, restype):
+    """``symbol()`` of the OpenBLAS that numpy's wheel bundles under ``numpy.libs``,
+    or None when the library or the symbol is missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            fn = getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [], restype
+        return fn()
+    return None
+
+
 def fingerprint():
-    """What the bytes of a run depend on besides the code: Python, numpy, BLAS, machine."""
+    """What the bytes of a run depend on besides the code: Python, numpy, BLAS
+    and the kernel it runs, machine."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    core = openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "blas_core": core.decode() if core else "unknown",
             "machine": platform.machine()}
 
 
@@ -146,3 +170,45 @@ def test_every_case_writes_the_pinned_bytes(tmp_path):
 def test_the_data_layer_replays_under_the_same_python_and_numpy():
     here = {k: v for k, v in fingerprint().items() if k in ("python", "numpy")}
     _check_pins(DATA_PINS, here, data_digests)
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def test_the_fingerprint_names_the_blas_kernel():
+    """A kernel forced through ``OPENBLAS_CORETYPE`` changes the fingerprint,
+    so the artifact pins skip under it instead of failing."""
+    here = fingerprint()
+    if here["blas_core"] == "unknown":
+        pytest.skip("numpy's OpenBLAS does not name its kernel")
+    other = next((kernel for kernel, flag in (("Haswell", "avx2"), ("Sandybridge", "avx"))
+                  if kernel != here["blas_core"] and flag in _cpu_flags()), None)
+    if other is None:
+        pytest.skip("no other x86-64 kernel this CPU can run")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(kdlab.__file__)))
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    path = [HERE, root] + [os.path.abspath(p) for p in inherited if p]
+    env = dict(os.environ, OPENBLAS_CORETYPE=other, PYTHONPATH=os.pathsep.join(path))
+    code = "import json, test_digests; print(json.dumps(test_digests.fingerprint()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    there = json.loads(child.stdout)
+    assert there["blas_core"] == other
+    assert there != here
+
+
+def test_blas_runs_the_threads_the_environment_names():
+    """The suite's BLAS thread count is the one its environment names (kdlab's
+    default of one when unset), which holds only if kdlab was imported before numpy."""
+    threads = openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS does not report its thread count")
+    # OpenBLAS runs no more threads than the CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert threads == min(int(os.environ["OPENBLAS_NUM_THREADS"]), cpus)

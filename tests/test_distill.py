@@ -13,7 +13,7 @@ from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
 from kdlab.distill import (DivergenceError, SrdConfig, feature_reg, lr_at, pretrain_teacher,
                            srd_loss)
-from kdlab.models import Classifier, build_pair
+from kdlab.models import Classifier, build_student, build_teacher
 from kdlab.optim import Sgd
 
 TINY_CFG = parse_config("""
@@ -147,9 +147,9 @@ def test_a_tensor_on_the_teacher_side_raises_type_error(loss):
 # ---------------------
 
 def _fresh(seed=0):
-    teacher, student, adaptor = build_pair(TINY_CFG, seed)
+    teacher = build_teacher(TINY_CFG, seed)
     teacher.freeze()
-    return teacher, student, adaptor
+    return (teacher, *build_student(TINY_CFG, seed))
 
 
 def _srd(alpha=1.0, beta=1.0):
@@ -247,7 +247,7 @@ def test_lr_schedule_steps_at_each_milestone():
 
 def test_pretrain_raises_a_divergence_error_on_nonfinite_logits():
     ds = generate(TINY_CFG.dataset)
-    teacher, _, _ = build_pair(TINY_CFG, 0)
+    teacher = build_teacher(TINY_CFG, 0)
     teacher.classifier.weight.values[0, 0] = np.nan
     with pytest.raises(DivergenceError) as info:
         pretrain_teacher(ds, teacher, TINY_CFG.optimizer, epochs=2, seed=7)
@@ -260,7 +260,7 @@ def test_pretrain_replays_bit_for_bit():
     ds = generate(TINY_CFG.dataset)
     states = []
     for _ in range(2):
-        teacher, _, _ = build_pair(TINY_CFG, 1)
+        teacher = build_teacher(TINY_CFG, 1)
         net = pretrain_teacher(ds, teacher, TINY_CFG.optimizer, epochs=4,
                                seed=17)
         states.append(net.state_arrays())
@@ -293,7 +293,7 @@ def test_pretrain_matches_the_per_parameter_optimizer_bit_for_bit(monkeypatch):
     states = []
     for sgd in (Sgd, _PerParameterSgd):
         monkeypatch.setattr("kdlab.distill.Sgd", sgd)
-        teacher, _, _ = build_pair(TINY_CFG, 2)
+        teacher = build_teacher(TINY_CFG, 2)
         net = pretrain_teacher(ds, teacher, optim_params, epochs=4, seed=5)
         states.append(net.state_arrays())
     for name in states[0]:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -11,14 +12,14 @@ import pytest
 
 import kdlab
 import mutants
-from kdlab import cli, harness, metrics
+from kdlab import cli, harness, metrics, models
 from kdlab.config import POLICIES, ConfigError, override, parse_config
 from kdlab.data import SettingError, generate
 from kdlab.distill import MODES, AccuracyFloorError, DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
                            teacher_cache_key, teacher_path, write_compare_csv)
-from kdlab.models import build_pair
+from kdlab.models import build_teacher
 
 TINY = """
 [dataset]
@@ -177,7 +178,7 @@ def test_get_teacher_raises_on_a_missed_floor_cached_or_fresh(tmp_path, monkeypa
 def test_zero_teacher_epochs_hand_out_the_frozen_init_unchecked(tmp_path):
     cfg = _cfg(tmp_path, teacher_epochs=0, teacher_floor=0.999)
     ds = generate(cfg.dataset)
-    init, _, _ = build_pair(cfg, 9)
+    init = build_teacher(cfg, 9)
     for _ in ("trained", "cached"):
         net = get_teacher(cfg, ds, seed=9)
         _assert_frozen(net)
@@ -188,6 +189,26 @@ def test_zero_teacher_epochs_hand_out_the_frozen_init_unchecked(tmp_path):
 
 # full runs
 # ---------
+
+def test_a_trial_builds_each_network_once(tmp_path, monkeypatch):
+    """One seed: one teacher, one student and one adaptor, none built to be dropped."""
+    built = []
+    make_network, adaptor = models.make_network, models.Adaptor
+
+    def network(input_dim, arch, classes, seed):
+        built.append(arch)
+        return make_network(input_dim, arch, classes, seed)
+
+    def counted_adaptor(*args):
+        built.append("adaptor")
+        return adaptor(*args)
+
+    monkeypatch.setattr(models, "make_network", network)
+    monkeypatch.setattr(models, "Adaptor", counted_adaptor)
+    cfg = _cfg(tmp_path, mode="srd", seeds=(0,))
+    run(cfg)
+    assert built == [cfg.teacher, cfg.student, "adaptor"]
+
 
 def test_run_writes_the_complete_artifact_set(tmp_path):
     cfg = _cfg(tmp_path, mode="srd+ood")
@@ -624,6 +645,31 @@ def test_cli_seed_flag_is_checked_where_it_is_offered(tmp_path, command):
     assert code == 2, err
     assert err.startswith("config error: --seed: must be nonnegative")
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_student_dump_without_a_checkpoint_exits_2(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY)
+    monkeypatch.chdir(tmp_path)
+    args = ["dump-features", "--net", "student", "--config", str(cfg_path),
+            "--out", str(tmp_path / "dump")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == \
+        "config error: dump-features: student dumps need --checkpoint\n"
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_import_kdlab_loads_autograd_only_and_defaults_blas_to_one_thread(tmp_path):
+    code, out, err = _python(["-c", """if True:
+        import json, os, sys
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        import kdlab
+        print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "kdlab"),
+                          os.environ["OPENBLAS_NUM_THREADS"],
+                          kdlab.Tensor is sys.modules["kdlab.autograd"].Tensor]))
+        """], cwd=tmp_path)
+    assert code == 0, err
+    assert json.loads(out) == [["kdlab", "kdlab.autograd"], "1", True]
 
 
 def test_cli_generate_data_takes_no_seed(tmp_path):

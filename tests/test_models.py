@@ -16,8 +16,9 @@ from kdlab.config import ArchParams, parse_config
 from kdlab.data import one_hot
 from kdlab.distill import MODES
 from kdlab.models import (Adaptor, Affine, BatchNorm, CHECKPOINT_MAGIC,
-                          Classifier, Network, build_pair, load_checkpoint,
-                          make_network, parameter_count, save_checkpoint)
+                          Classifier, Network, build_student, build_teacher,
+                          load_checkpoint, make_network, parameter_count,
+                          save_checkpoint)
 from kdlab.optim import Sgd
 
 
@@ -135,7 +136,7 @@ PRESET_STATE = {
 
 def test_preset_state_arrays_keep_their_names_and_shapes():
     """Pinned without an environment check, unlike the digest tables."""
-    _, nets = _preset_pair()
+    _, nets = _preset_nets()
     for role, net in zip(("teacher", "student", "adaptor"), nets):
         got = [(name, arr.shape) for name, arr in net.state_arrays().items()]
         assert got == PRESET_STATE[role], role
@@ -300,8 +301,8 @@ def test_unfrozen_network_backpropagates():
     assert max(grads) > 0.0
 
 
-# pairing
-# -------
+# building a trial's networks
+# ----------------------------
 
 def _pair_cfg(student_hidden):
     return parse_config(f"""
@@ -317,10 +318,11 @@ feature_dim = 4
 """)
 
 
-def test_build_pair_teacher_ignores_student_architecture():
+def test_build_teacher_ignores_student_architecture():
     """Same seed, different student width: the teacher must not move."""
-    t1, s1, _ = build_pair(_pair_cfg("8,8"), seed=3)
-    t2, s2, _ = build_pair(_pair_cfg("12,12"), seed=3)
+    narrow, wide = _pair_cfg("8,8"), _pair_cfg("12,12")
+    t1, t2 = build_teacher(narrow, seed=3), build_teacher(wide, seed=3)
+    (s1, _), (s2, _) = build_student(narrow, seed=3), build_student(wide, seed=3)
     a = t1.state_arrays()
     b = t2.state_arrays()
     for name in a:
@@ -328,9 +330,10 @@ def test_build_pair_teacher_ignores_student_architecture():
     assert s1.layers[0].weight.values.shape != s2.layers[0].weight.values.shape
 
 
-def test_build_pair_seed_changes_everything():
-    t1, s1, a1 = build_pair(_pair_cfg("8,8"), seed=0)
-    t2, s2, a2 = build_pair(_pair_cfg("8,8"), seed=1)
+def test_build_teacher_and_build_student_seed_changes_everything():
+    cfg = _pair_cfg("8,8")
+    t1, (s1, a1) = build_teacher(cfg, seed=0), build_student(cfg, seed=0)
+    t2, (s2, a2) = build_teacher(cfg, seed=1), build_student(cfg, seed=1)
     assert not np.array_equal(t1.classifier.weight.values,
                               t2.classifier.weight.values)
     assert not np.array_equal(s1.classifier.weight.values,
@@ -339,7 +342,24 @@ def test_build_pair_seed_changes_everything():
                               a2.affine.weight.values)
 
 
-def test_build_pair_rejects_student_above_teacher():
+def test_builders_draw_the_trial_seeds_three_streams_in_order():
+    """Teacher, student and adaptor start from ``SeedSequence(seed).spawn(3)``
+    in that order, which the pinned teacher caches and checkpoints depend on."""
+    cfg = _pair_cfg("8,8")
+    t_seed, s_seed, a_seed = [s.generate_state(1)[0]
+                              for s in np.random.SeedSequence(5).spawn(3)]
+    built = (build_teacher(cfg, seed=5), *build_student(cfg, seed=5))
+    expected = (make_network(8, cfg.teacher, 4, t_seed),
+                make_network(8, cfg.student, 4, s_seed),
+                Adaptor(4, 16, np.random.default_rng(np.random.SeedSequence(a_seed))))
+    for got, want in zip(built, expected, strict=True):
+        state_got, state_want = got.state_arrays(), want.state_arrays()
+        assert state_got.keys() == state_want.keys()
+        for name in state_got:
+            assert np.array_equal(state_got[name], state_want[name]), name
+
+
+def test_build_student_is_never_handed_a_student_above_its_teacher():
     import dataclasses
 
     from kdlab.config import ArchParams as Arch, ConfigError
@@ -356,7 +376,7 @@ hidden = 64,64
 feature_dim = 32
 """)
     # a config assembled without the parser is checked as it is assembled,
-    # so no config build_pair is handed breaks the rule
+    # so no config build_student is handed breaks the rule
     with pytest.raises(ValueError, match="student capacity exceeds teacher capacity"):
         dataclasses.replace(
             _pair_cfg("8,8"),
@@ -413,9 +433,10 @@ def _composed_adaptor(adaptor, x):
     return _composed_batchnorm(adaptor.norm, _composed_affine(adaptor.affine, x)).relu()
 
 
-def _preset_pair(seed=0):
+def _preset_nets(seed=0):
     # The package defaults are the standard preset.
-    return parse_config(""), build_pair(parse_config(""), seed)
+    cfg = parse_config("")
+    return cfg, (build_teacher(cfg, seed), *build_student(cfg, seed))
 
 
 def _assert_same_state(a, b):
@@ -431,8 +452,8 @@ def _assert_same_state(a, b):
 
 def test_fused_teacher_step_matches_composed_graph():
     """Preset teacher (32 -> 256 -> 256 -> 64 + BN(64)) at a 32-row batch."""
-    cfg, (fused, _, _) = _preset_pair()
-    _, (composed, _, _) = _preset_pair()
+    cfg, (fused, _, _) = _preset_nets()
+    _, (composed, _, _) = _preset_nets()
     rng = np.random.default_rng(41)
     x = rng.standard_normal((32, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
@@ -455,8 +476,8 @@ def test_a_frozen_teacher_classifier_gets_no_gradient_and_leaves_the_adaptor_bit
     a twin whose weight does need one gives the student and adaptor the
     same gradient bits.
     """
-    cfg, (teacher, student, adaptor) = _preset_pair()
-    _, (twin_teacher, twin_student, twin_adaptor) = _preset_pair()
+    cfg, (teacher, student, adaptor) = _preset_nets()
+    _, (twin_teacher, twin_student, twin_adaptor) = _preset_nets()
     teacher.freeze()
     twin_teacher.freeze()
     weight = twin_teacher.classifier.weight
@@ -478,8 +499,8 @@ def test_a_frozen_teacher_classifier_gets_no_gradient_and_leaves_the_adaptor_bit
 def _assert_step_matches_composed_graph(mode, variant):
     """Preset student and adaptor at a 96-row batch, every layer and loss
     head composed from elementary ops in the reference."""
-    cfg, (teacher, fused, fused_ad) = _preset_pair()
-    _, (_, composed, composed_ad) = _preset_pair()
+    cfg, (teacher, fused, fused_ad) = _preset_nets()
+    _, (_, composed, composed_ad) = _preset_nets()
     cfg = dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
     teacher.freeze()
     rng = np.random.default_rng(43)
@@ -545,7 +566,7 @@ def test_every_stage2_term_matches_composed_graph(mode, variant):
 
 def test_fused_detector_step_matches_composed_graph():
     """Preset detector step: 32 labeled positives, 32 of 64 pool rows negatives."""
-    cfg, (teacher, _, _) = _preset_pair()
+    cfg, (teacher, _, _) = _preset_nets()
     teacher.freeze()
     rng = np.random.default_rng(45)
     feats_t, _ = teacher.predict(rng.standard_normal((96, cfg.dataset.input_dim)))
@@ -626,7 +647,7 @@ DETECTOR_STEP_NODES = 1
 
 
 def test_preset_steps_build_the_pinned_number_of_graph_nodes():
-    cfg, (teacher, student, adaptor) = _preset_pair()
+    cfg, (teacher, student, adaptor) = _preset_nets()
     rng = np.random.default_rng(59)
     x = rng.standard_normal((96, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
