@@ -136,7 +136,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
     n_l = len(y)
     term = "ce"
     try:
-        feats_s, logits_s = student.forward(x, train=True)
+        feats_s, logits_s = student.forward(x)
         logits_l = logits_s if len(x) == n_l else slice_rows(logits_s, 0, n_l)
         ce = softmax_cross_entropy(logits_l, y)
         total = ce
@@ -167,7 +167,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
         if "dac" in terms and len(x) > n_l:
             term = "dac"
             # Two-view consistency: the teacher's logits past n_l are on view 1.
-            _, z_s_v2 = student.forward(view2, train=True)
+            _, z_s_v2 = student.forward(view2)
             dac = cosine_loss(z_s_v2, z_t[n_l:])
             total = total + cfg.baselines.dac_weight * dac
     except NumericError as exc:

@@ -176,7 +176,7 @@ def pretrain_teacher(dataset, net, optim_params, epochs, seed=0):
     y = one_hot(dataset.labeled_y, dataset.params.classes)
 
     def step(rows, u_idx):
-        _, logits = net.forward(x[rows], train=True)
+        _, logits = net.forward(x[rows])
         loss = softmax_cross_entropy(logits, y[rows])
         return loss, (loss.item(), 0.0, 0.0)
 

@@ -2,9 +2,9 @@
 
 A network is a stack of affine layers with ReLU, an optional
 batch-normalization step before the final ReLU (so features are
-nonnegative), and a bias-free linear classifier; ``forward`` returns the
-pair (features, logits) as graph tensors for training, ``predict`` the
-same pair as plain arrays.
+nonnegative), and a bias-free linear classifier; ``forward``, the training
+forward, returns (features, logits) as graph tensors, and ``predict``
+computes the same pair on plain arrays, in evaluation mode.
 The adaptor bridges student feature width to teacher feature width so
 the teacher's classifier can score adapted student features directly.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, batch_norm, linear, matmul, no_grad
+from .autograd import Tensor, batch_norm, linear, matmul
 from .fileio import load_arrays, save_arrays
 
 CHECKPOINT_MAGIC = "kdlab-ckpt 1"
@@ -53,10 +53,9 @@ class Affine:
 class BatchNorm:
     """Per-feature batch normalization with running statistics.
 
-    Training mode normalizes by batch statistics (gradients flow through
-    them) and folds the batch estimates into the running buffers with
-    momentum 0.9. Evaluation mode normalizes by the running buffers as
-    constants, so frozen networks are pure per-sample functions.
+    A call trains: it normalizes by batch statistics (gradients flow through
+    them) and folds them into the running buffers with momentum 0.9.
+    ``normalize`` evaluates an array by the running buffers as constants.
     """
 
     momentum = 0.9
@@ -68,17 +67,16 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def __call__(self, x, train):
-        if train:
-            out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps)
-            self.running_mean = self.momentum * self.running_mean \
-                + (1.0 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var \
-                + (1.0 - self.momentum) * var
-            return out
-        centered = x - self.running_mean
-        normed = centered / np.sqrt(self.running_var + self.eps)
-        return normed * self.gamma + self.beta
+    def __call__(self, x):
+        out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps)
+        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mu
+        self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+        return out
+
+    def normalize(self, h):
+        """Evaluation-mode output for the rows of the array ``h``; moves no buffer."""
+        return (h - self.running_mean) / np.sqrt(self.running_var + self.eps) \
+            * self.gamma.values + self.beta.values
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -116,10 +114,10 @@ class Network:
 
     The last affine layer maps to the features; a batch-normalization step
     (``arch.feature_norm``) sits before its final ReLU, so features are
-    nonnegative. ``freeze()`` takes every parameter out of the gradient
-    graph for good and fixes the normalization statistics, so a frozen
-    network is a deterministic per-sample function. ``make_network``
-    builds every network."""
+    nonnegative. ``forward`` trains; ``predict`` evaluates, on arrays.
+    ``freeze()`` takes every parameter out of the gradient graph for good
+    and makes ``forward`` raise, so the normalization statistics never
+    move again. ``make_network`` builds every network."""
 
     def __init__(self, input_dim, arch, classes, rng):
         dims = [int(input_dim), *[int(h) for h in arch.hidden], int(arch.feature_dim)]
@@ -128,37 +126,38 @@ class Network:
         self.classifier = Classifier(arch.feature_dim, classes, rng)
         self.frozen = False
 
-    def forward(self, x, train=False):
-        """(features, logits) tensors; the training forward.
-
-        ``train`` normalizes by batch statistics and moves the running
-        buffers, except on a frozen network, whose buffers never move.
-        """
-        x = x if isinstance(x, Tensor) else Tensor(x)
+    def forward(self, x):
+        """(features, logits) tensors in training mode; moves the norm's buffers."""
+        if self.frozen:
+            raise ValueError("Network.forward: the network is frozen; use predict")
         for layer in self.layers[:-1]:
             x = layer(x, relu=True)
         x = self.layers[-1](x)
         if self.norm is not None:
-            x = self.norm(x, train and not self.frozen)
+            x = self.norm(x)
         features = x.relu()
         return features, self.classifier(features)
 
     def predict(self, x):
-        """(features, logits) arrays over the rows of ``x``, in evaluation mode.
-
-        Builds no graph, and forwards ``PREDICT_CHUNK`` rows at a time into
-        preallocated arrays. A row's outputs do not depend on the rows
-        beside it, except that a one-row product takes BLAS's matrix-vector
-        path, which rounds differently; a lone row is doubled instead.
-        """
+        """(features, logits) arrays over the rows of ``x``, in evaluation mode,
+        computed on the parameters' arrays ``PREDICT_CHUNK`` rows at a time. A
+        row's outputs do not depend on the rows beside it, except that a one-row
+        product takes BLAS's matrix-vector path, which rounds differently; a lone
+        row is doubled instead."""
         feature_dim, classes = self.classifier.weight.shape
         feats, logits = np.empty((len(x), feature_dim)), np.empty((len(x), classes))
         for start in range(0, len(x), PREDICT_CHUNK):
             rows = x[start:start + PREDICT_CHUNK]
-            with no_grad():
-                f, z = self.forward(rows if len(rows) > 1 else np.repeat(rows, 2, axis=0))
-            feats[start:start + len(rows)] = f.values[:len(rows)]
-            logits[start:start + len(rows)] = z.values[:len(rows)]
+            h = rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)
+            for layer in self.layers[:-1]:
+                h = h @ layer.weight.values + layer.bias.values
+                h = h * (h > 0.0)
+            h = h @ self.layers[-1].weight.values + self.layers[-1].bias.values
+            if self.norm is not None:
+                h = self.norm.normalize(h)
+            h = h * (h > 0.0)
+            feats[start:start + len(rows)] = h[:len(rows)]
+            logits[start:start + len(rows)] = (h @ self.classifier.weight.values)[:len(rows)]
         return feats, logits
 
     def parameters(self):
@@ -201,7 +200,7 @@ class Adaptor:
 
     A single affine map to the teacher width, per-feature batch
     normalization, then ReLU so outputs live in the teacher's nonnegative
-    feature range. Only stage 2 calls it, always in training mode.
+    feature range. Only stage 2 calls it, so a call is the training forward.
     """
 
     def __init__(self, student_dim, teacher_dim, rng):
@@ -209,7 +208,7 @@ class Adaptor:
         self.norm = BatchNorm(teacher_dim)
 
     def __call__(self, x):
-        return self.norm(self.affine(x), True).relu()
+        return self.norm(self.affine(x)).relu()
 
     def parameters(self):
         return self.affine.parameters() + self.norm.parameters()

@@ -10,8 +10,8 @@ import numpy as np
 
 from kdlab.autograd import (Tensor, add, backward, batch_norm, cosine_loss, div,
                             l2_distance, linear, log, logistic_loss, matmul, mse, mul,
-                            neg, relu, sigmoid, slice_rows, softmax, softmax_cross_entropy,
-                            sqrt, sub, tensor_mean, tensor_sum)
+                            neg, no_grad, relu, sigmoid, slice_rows, softmax,
+                            softmax_cross_entropy, sqrt, sub, tensor_mean, tensor_sum)
 
 EPS = 1e-6
 
@@ -193,3 +193,19 @@ def composed_logistic_loss(x_pos, x_neg, w, b):
     p_pos = sigmoid(add(matmul(Tensor(x_pos), w), b))
     p_neg = sigmoid(add(matmul(Tensor(x_neg), w), b))
     return neg(add(tensor_mean(log(p_pos)), tensor_mean(log(sub(1.0, p_neg)))))
+
+
+def composed_predict(net, x):
+    """(features, logits) arrays of ``net`` in evaluation mode over all of
+    ``x`` at once, composed from the autograd ops under ``no_grad``: the
+    reference ``Network.predict`` must match bit for bit."""
+    with no_grad():
+        h = Tensor(x)
+        for layer in net.layers[:-1]:
+            h = linear(h, layer.weight, layer.bias, relu=True)
+        h = linear(h, net.layers[-1].weight, net.layers[-1].bias)
+        bn = net.norm
+        if bn is not None:
+            h = (h - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
+        feats = relu(h)
+        return feats.values, matmul(feats, net.classifier.weight).values

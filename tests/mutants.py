@@ -34,10 +34,11 @@ MUTANTS = {
         ("baselines.py", "out[n:] = fresh", "fresh"),
     "graph walk pushes a node's parents in reverse":
         ("autograd.py", "for p in t.node.parents:", "for p in reversed(t.node.parents):"),
-    "predict runs in train mode":
-        ("models.py", "np.repeat(rows, 2, axis=0))", "np.repeat(rows, 2, axis=0), train=True)"),
+    "predict normalizes by the chunk's own statistics":
+        ("models.py", "(h - self.running_mean) / np.sqrt(self.running_var + self.eps)",
+         "(h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + self.eps)"),
     "predict forwards a lone row undoubled":
-        ("models.py", "rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)", "rows"),
+        ("models.py", "h = rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)", "h = rows"),
     "inputs gathered in another row order than the teacher outputs":
         ("baselines.py", "x = x_all[idx]", "x = x_all[np.sort(idx)]"),
     "hidden flags from the whole pool, not the selected rows":

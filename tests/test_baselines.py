@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import composed_predict
 from kdlab import baselines, metrics, models
 from kdlab.autograd import Tensor, backward, softmax_values
 from kdlab.baselines import (MODES, OodDetector, cosine_rows, kd_loss,
@@ -102,9 +103,9 @@ def test_kd_rejects_bad_arguments():
 def test_pseudo_label_reads_the_teacher_argmax():
     cfg, ds, teacher = _setup()
     x = ds.unlabeled.inputs[:20]
-    labels = pseudo_label(teacher.predict(x)[1])
-    _, logits = teacher.forward(x)
-    assert np.array_equal(labels, np.argmax(logits.values, axis=1))
+    logits = teacher.predict(x)[1]
+    labels = pseudo_label(logits)
+    assert np.array_equal(labels, np.argmax(logits, axis=1))
     assert labels.min() >= 0 and labels.max() < cfg.dataset.classes
 
 
@@ -138,10 +139,15 @@ def _dac_step(cfg, ds, student, teacher, x_u, strength, rng):
 
 
 def test_dac_on_identical_networks_is_minus_one():
-    """Zero jitter and a shared network leave perfectly aligned views."""
-    cfg, ds, teacher = _setup()
+    """Zero jitter and a shared network leave perfectly aligned views. The
+    network has no batch norm, so its training forward computes what its
+    ``predict`` does."""
+    cfg = parse_config(TINY)
+    ds = generate(cfg.dataset)
+    arch = dataclasses.replace(cfg.teacher, feature_norm=False)
+    net = make_network(cfg.dataset.input_dim, arch, cfg.dataset.classes, seed=0)
     x = ds.unlabeled.inputs[:12]
-    got = _dac_step(cfg, ds, teacher, teacher, x, 0.0, np.random.default_rng(0))
+    got = _dac_step(cfg, ds, net, net, x, 0.0, np.random.default_rng(0))
     assert abs(got + cfg.baselines.dac_weight) < 1e-6
 
 
@@ -150,9 +156,8 @@ def test_dac_zero_strength_matches_the_forward_oracle():
     student, _ = build_student(cfg, 1)
     x = ds.unlabeled.inputs[:12]
     got = _dac_step(cfg, ds, student, teacher, x, 0.0, np.random.default_rng(1))
-    _, z_t = teacher.forward(x)
-    _, z_s = student.forward(x, train=True)
-    zs, zt = z_s.values, z_t.values
+    zt = teacher.predict(x)[1]
+    zs = student.forward(x)[1].values
     cos = (zs * zt).sum(axis=1) / (
         np.linalg.norm(zs, axis=1) * np.linalg.norm(zt, axis=1) + 1e-12)
     assert abs(got + cfg.baselines.dac_weight * cos.mean()) < 1e-9
@@ -233,9 +238,9 @@ def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
     The table forwards the labeled rows and the pool together, so its
     chunks straddle the two; it must equal forwarding each alone. Chunked
     evaluation must equal one whole-batch forward on the labeled and test
-    rows, for the teacher and for a student. A BLAS whose per-row results
-    depend on the rows beside them fails here instead of changing
-    artifact bytes.
+    rows, for the teacher and for a student; the whole-batch reference is
+    composed from the autograd ops. A BLAS whose per-row results depend on
+    the rows beside them fails here instead of changing artifact bytes.
     """
     cfg, ds, teacher = _preset_teacher()
     pool = ds.unlabeled.inputs
@@ -246,54 +251,53 @@ def test_cached_teacher_outputs_equal_per_step_forwards_at_preset_shapes():
                             (feats[:n_l], z_all[:n_l], feats[n_l:], z_all[n_l:])):
         assert np.array_equal(alone, joint)
     student, _ = build_student(cfg, 1)
-    student.forward(ds.labeled_x[:96], train=True)  # move the batch-norm buffers
+    student.forward(ds.labeled_x[:96])  # move the batch-norm buffers
     for net in (teacher, student):
         for x in (ds.labeled_x, ds.test_x):
-            f, z = net.forward(x)
-            assert all(map(np.array_equal, net.predict(x), (f.values, z.values)))
+            assert all(map(np.array_equal, net.predict(x), composed_predict(net, x)))
     o = cfg.optimizer
     sampler = BatchSampler(o.batch_size, o.unlabeled_batch_size, seed=0)
     for l_idx, u_idx in sampler.epoch_batches(n_l, len(pool), epoch=0):
         assert (len(l_idx), len(u_idx)) == (32, 64)
         at = np.concatenate([l_idx, n_l + u_idx])
-        f, z = teacher.forward(np.concatenate([ds.labeled_x[l_idx], pool[u_idx]]))
-        assert np.array_equal(f.values, feats[at])
-        assert np.array_equal(z.values, z_all[at])
-        f, z = teacher.forward(pool[u_idx])
-        assert np.array_equal(f.values, feats[n_l + u_idx])
-        assert np.array_equal(z.values, z_all[n_l + u_idx])
+        f, z = composed_predict(teacher, np.concatenate([ds.labeled_x[l_idx], pool[u_idx]]))
+        assert np.array_equal(f, feats[at])
+        assert np.array_equal(z, z_all[at])
+        f, z = composed_predict(teacher, pool[u_idx])
+        assert np.array_equal(f, feats[n_l + u_idx])
+        assert np.array_equal(z, z_all[n_l + u_idx])
 
 
 def test_a_lone_row_gets_the_outputs_it_has_inside_a_batch(monkeypatch):
     cfg, ds, teacher = _preset_teacher()
     x = ds.unlabeled.inputs[:9]
-    f, z = teacher.forward(x)
-    assert np.array_equal(teacher.predict(x[:1])[1], z.values[:1])
+    f, z = composed_predict(teacher, x)
+    assert np.array_equal(teacher.predict(x[:1])[1], z[:1])
     monkeypatch.setattr(models, "PREDICT_CHUNK", 4)  # chunks of 4, 4 and 1
     feats, logits = teacher.predict(x)
-    assert np.array_equal(feats, f.values)
-    assert np.array_equal(logits, z.values)
+    assert np.array_equal(feats, f)
+    assert np.array_equal(logits, z)
 
 
 def _teacher_forwards(monkeypatch, cfg, ds, teacher):
-    """Rows of each frozen-teacher forward in one trial, less mimicry_kl's at the end."""
+    """Rows of each frozen-teacher predict in one trial, less mimicry_kl's at the end."""
     calls, at_end = [], []
-    forward = Network.forward
+    predict = Network.predict
 
-    def counted(net, x, train=False):
+    def counted(net, x):
         if net is teacher:
             calls.append(len(x))
-        return forward(net, x, train)
+        return predict(net, x)
 
     def mimicry(z_t, z_s):
         at_end.append(len(calls))
         return metrics.mimicry_kl(z_t, z_s)
 
     with monkeypatch.context() as m:
-        m.setattr(Network, "forward", counted)
+        m.setattr(Network, "predict", counted)
         m.setattr(baselines, "mimicry_kl", mimicry)
         train_with_mode(ds, teacher, cfg, 0)
-    # the last forward scores the test rows for mimicry_kl
+    # the last predict scores the test rows for mimicry_kl
     assert len(calls) == at_end[0] and calls[-1] == len(ds.test_x)
     return sorted(calls[:-1])
 

@@ -160,12 +160,12 @@ def test_teacher_score_matches_confidence_sort():
     teacher = make_network(SMALL.input_dim, ArchParams((12, 12), 6, True),
                            SMALL.classes, seed=7)
     teacher.freeze()
-    _, logits = teacher.forward(ds.unlabeled.inputs)
-    conf = softmax_values(logits.values).max(axis=1)
+    _, logits = teacher.predict(ds.unlabeled.inputs)
+    conf = softmax_values(logits).max(axis=1)
     keep = round(0.5 * len(ds.unlabeled))
     order = np.argsort(-conf, kind="stable")
     expect = np.sort(order[:keep])
-    sub = select_unlabeled(ds.unlabeled, 0.5, "teacher_score", logits.values)
+    sub = select_unlabeled(ds.unlabeled, 0.5, "teacher_score", logits)
     assert np.array_equal(sub, expect)
 
 

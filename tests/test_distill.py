@@ -172,7 +172,7 @@ def test_empty_unlabeled_equals_the_hand_composed_srd_step():
 
     teacher, student, adaptor = nets_b = _fresh(5)
     feats_t, z_t = teacher.predict(x)
-    feats_s, logits_s = student.forward(x, train=True)
+    feats_s, logits_s = student.forward(x)
     x_a = adaptor(feats_s)
     loss_b = (composed_cross_entropy(logits_s, y)
               + 1.0 * composed_row_distance(Tensor(z_t), teacher.classifier(x_a))

@@ -177,12 +177,12 @@ def test_feature_dump_survives_a_parse_round_trip(tmp_path):
     labels = rng.integers(0, 3, 12)
     path = tmp_path / "feats.csv"
     feature_dump(net, x, labels, str(path))
-    feats, _ = net.forward(x)
+    feats, _ = net.predict(x)
     lines = path.read_text().splitlines()
     assert lines[0] == "f0,f1,f2,f3,f4,label"
     assert len(lines) == 13
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         parsed = np.array([float(v) for v in cells[:-1]])
-        assert np.max(np.abs(parsed - feats.values[i])) < 1e-12
+        assert np.max(np.abs(parsed - feats[i])) < 1e-12
         assert int(cells[-1]) == labels[i]

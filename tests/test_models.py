@@ -37,7 +37,7 @@ def _manual_forward(net, x):
     return feats, feats @ net.classifier.weight.values
 
 
-def test_forward_matches_manual_composition():
+def test_predict_matches_manual_composition():
     rng = np.random.default_rng(3)
     tol = 1e-12
     for feature_norm in (False, True):
@@ -45,11 +45,11 @@ def test_forward_matches_manual_composition():
                           feature_norm=feature_norm)
         net = make_network(6, arch, classes=3, seed=11)
         x = rng.standard_normal((9, 6))
-        feats, logits = net.forward(x)
+        feats, logits = net.predict(x)
         ref_f, ref_z = _manual_forward(net, x)
-        assert np.max(np.abs(feats.values - ref_f)) < tol
-        assert np.max(np.abs(logits.values - ref_z)) < tol
-        assert np.min(feats.values) >= 0.0
+        assert np.max(np.abs(feats - ref_f)) < tol
+        assert np.max(np.abs(logits - ref_z)) < tol
+        assert np.min(feats) >= 0.0
 
 
 def test_classifier_is_bias_free():
@@ -63,7 +63,7 @@ def test_batchnorm_train_mode_normalizes_batch():
     rng = np.random.default_rng(5)
     bn = BatchNorm(6)
     x = rng.standard_normal((64, 6)) * 3.0 + 2.0
-    out = bn(Tensor(x), train=True).values
+    out = bn(Tensor(x)).values
     assert np.max(np.abs(out.mean(axis=0))) < 1e-10
     assert np.max(np.abs(out.std(axis=0) - 1.0)) < 1e-3
 
@@ -76,14 +76,14 @@ def test_batchnorm_running_stats_follow_momentum_recurrence():
     var_ref = np.ones(3)
     for _ in range(2):
         x = rng.standard_normal((32, 3)) * 1.7 - 0.4
-        bn(Tensor(x), train=True)
+        bn(Tensor(x))
         mean_ref = 0.9 * mean_ref + 0.1 * x.mean(axis=0)
         var_ref = 0.9 * var_ref + 0.1 * x.var(axis=0)
     assert np.max(np.abs(bn.running_mean - mean_ref)) < 1e-12
     assert np.max(np.abs(bn.running_var - var_ref)) < 1e-12
     # eval mode consumes the buffers as constants
     x = rng.standard_normal((5, 3))
-    out = bn(Tensor(x), train=False).values
+    out = bn.normalize(x)
     ref = (x - mean_ref) / np.sqrt(var_ref + bn.eps)
     assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -101,7 +101,7 @@ def test_affine_init_depends_only_on_rng_stream():
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     arch = ArchParams(hidden=(10, 6), feature_dim=5, feature_norm=True)
     net = make_network(8, arch, classes=4, seed=21)
-    net.forward(np.random.default_rng(0).standard_normal((16, 8)), train=True)
+    net.forward(np.random.default_rng(0).standard_normal((16, 8)))
     state = net.state_arrays()
     path = tmp_path / "net.ckpt"
     save_checkpoint(str(path), state)
@@ -225,16 +225,14 @@ def test_load_state_restores_forward_exactly(tmp_path):
     arch = ArchParams(hidden=(6,), feature_dim=4, feature_norm=True)
     src = make_network(5, arch, classes=3, seed=1)
     rng = np.random.default_rng(2)
-    src.forward(rng.standard_normal((12, 5)), train=True)
+    src.forward(rng.standard_normal((12, 5)))
     path = tmp_path / "src.ckpt"
     save_checkpoint(str(path), src.state_arrays())
 
     dst = make_network(5, arch, classes=3, seed=999)
     dst.load_state(load_checkpoint(str(path)))
     x = rng.standard_normal((7, 5))
-    _, za = src.forward(x)
-    _, zb = dst.forward(x)
-    assert np.array_equal(za.values, zb.values)
+    assert all(map(np.array_equal, src.predict(x), dst.predict(x)))
 
 
 def test_load_state_after_sgd_construction_reaches_the_next_step():
@@ -259,7 +257,7 @@ def test_frozen_network_is_constant_and_gradient_free():
     arch = ArchParams(hidden=(8,), feature_dim=4, feature_norm=True)
     net = make_network(6, arch, classes=3, seed=13)
     rng = np.random.default_rng(4)
-    net.forward(rng.standard_normal((10, 6)), train=True)
+    net.forward(rng.standard_normal((10, 6)))
     net.freeze()
 
     for p in net.parameters():
@@ -267,13 +265,39 @@ def test_frozen_network_is_constant_and_gradient_free():
         assert p.grad is None
 
     x = rng.standard_normal((5, 6))
-    mean_before = net.norm.running_mean.copy()
-    feats, logits = net.forward(x, train=True)
-    # train=True must not touch buffers or build a graph on a frozen net
-    assert np.array_equal(net.norm.running_mean, mean_before)
-    assert not logits.requires_grad
-    _, again = net.forward(x, train=True)
-    assert np.array_equal(logits.values, again.values)
+    first = net.predict(x)
+    assert all(map(np.array_equal, first, net.predict(x)))
+    # the training forward would move the buffers of a frozen net
+    with pytest.raises(ValueError, match="use predict"):
+        net.forward(x)
+
+
+def test_predict_builds_no_tensor_and_moves_no_buffer(monkeypatch):
+    """Standard-preset teacher, frozen, and student: batches and a lone row."""
+    cfg, (teacher, student, _) = _preset_nets()
+    x = np.random.default_rng(61).standard_normal((300, cfg.dataset.input_dim))
+    student.forward(x[:96])  # move the student's buffers off their initial values
+    teacher.freeze()
+    norms = (teacher.norm, student.norm)
+    buffers = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in norms]
+    made, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    for net in (teacher, student):
+        for rows in (x, x[:1]):
+            net.predict(rows)
+    assert made == []
+    for bn, (mean, var) in zip(norms, buffers):
+        assert np.array_equal(bn.running_mean, mean) and np.array_equal(bn.running_var, var)
+    student.forward(x[:4])  # the spy does see the training forward's tensors
+    assert made
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"Network\.forward.*predict"):
+        teacher.forward(x[:4])
 
 
 def test_sgd_refuses_a_network_refrozen_after_construction():
@@ -294,8 +318,7 @@ def test_sgd_refuses_a_network_refrozen_after_construction():
 def test_unfrozen_network_backpropagates():
     arch = ArchParams(hidden=(8,), feature_dim=4, feature_norm=False)
     net = make_network(6, arch, classes=3, seed=17)
-    _, logits = net.forward(np.random.default_rng(5).standard_normal((4, 6)),
-                            train=True)
+    _, logits = net.forward(np.random.default_rng(5).standard_normal((4, 6)))
     backward(tensor_sum(logits))
     grads = [np.max(np.abs(p.grad)) for p in net.parameters()]
     assert max(grads) > 0.0
@@ -458,7 +481,7 @@ def test_fused_teacher_step_matches_composed_graph():
     x = rng.standard_normal((32, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
 
-    feats, logits = fused.forward(x, train=True)
+    feats, logits = fused.forward(x)
     backward(softmax_cross_entropy(logits, y))
     ref_feats = _composed_features(composed, Tensor(x))
     ref_logits = composed.classifier(ref_feats)
@@ -596,7 +619,7 @@ def test_fused_ops_match_composed_ops_on_leaf_inputs(x_grad):
         layer, bn = Affine(16, 64, np.random.default_rng(5)), BatchNorm(64)
         bn.gamma.values[...] = gamma
         if fused:
-            out = bn(layer(tx, relu=True), train=True)
+            out = bn(layer(tx, relu=True))
         else:
             out = _composed_batchnorm(bn, _composed_affine(layer, tx, relu=True))
         backward(tensor_sum(mul(out, Tensor(weights))))
@@ -652,7 +675,7 @@ def test_preset_steps_build_the_pinned_number_of_graph_nodes():
     x = rng.standard_normal((96, cfg.dataset.input_dim))
     y = one_hot(rng.integers(0, cfg.dataset.classes, 32), cfg.dataset.classes)
 
-    _, logits = teacher.forward(x[:32], train=True)
+    _, logits = teacher.forward(x[:32])
     backward(softmax_cross_entropy(logits, y))
     assert LAST_BACKWARD_STATS["nodes"] == TEACHER_STEP_NODES
 
