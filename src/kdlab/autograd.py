@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Values live in numpy arrays. Every differentiable operation whose inputs
-require gradients records a graph node holding operand references and a
-local backward rule; ``backward`` walks that graph once in reverse
+Values live in numpy arrays. An operation records a graph node, holding
+operand references and a local backward rule, exactly when one of its
+operands requires a gradient, so a path that needs no graph computes on
+constants or plain arrays. ``backward`` walks the graph once in reverse
 topological order and accumulates gradients into ``Tensor.grad`` buffers.
 
 All arithmetic is plain numpy on float64, so identical inputs replay to
@@ -10,8 +11,6 @@ bit-identical results.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -22,8 +21,6 @@ LOG_FLOOR = 1e-12
 # the topological order and how many were processed. Equal by contract.
 LAST_BACKWARD_STATS = {"nodes": 0, "visits": 0}
 
-_GRAD_ENABLED = True
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -31,18 +28,6 @@ class ShapeError(ValueError):
 
 class NumericError(ValueError):
     """Non-finite values reached an operation that requires finite input."""
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the context (evaluation paths)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
 
 
 class Node:
@@ -94,20 +79,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def relu(self):
         return relu(self)
@@ -131,10 +107,9 @@ def _unbroadcast(grad, shape):
 
 
 def _make(values, op, parents, rule):
-    if _GRAD_ENABLED:
-        for p in parents:
-            if p.requires_grad:
-                return Tensor(values, requires_grad=True, node=Node(op, tuple(parents), rule))
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(values, requires_grad=True, node=Node(op, tuple(parents), rule))
     return Tensor(values)
 
 
@@ -378,14 +353,6 @@ def tensor_sum(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, shape),)
 
     return _make(values, "sum", (a,), rule)
-
-
-def tensor_mean(a, axis=None):
-    a = _promote(a)
-    n = a.values.size if axis is None else a.values.shape[axis]
-    if n == 0:
-        raise ShapeError(f"mean: empty axis on shape {a.shape}")
-    return tensor_sum(a, axis=axis) * (1.0 / n)
 
 
 def slice_rows(a, start, stop):

@@ -14,8 +14,7 @@ import dataclasses
 import numpy as np
 
 from .autograd import (NumericError, Tensor, backward, cosine_loss, logistic_loss,
-                       no_grad, sigmoid, slice_rows, softmax_cross_entropy,
-                       softmax_values)
+                       sigmoid, slice_rows, softmax_cross_entropy, softmax_values)
 # Unused here; kept because benchmarks/tracer.py rebinds baselines.cosine_rows.
 from .autograd import cosine_rows  # noqa: F401
 from .data import augment, one_hot, select_unlabeled
@@ -68,10 +67,9 @@ class OodDetector:
         return [self.weight, self.bias]
 
     def scores(self, features):
-        """Sigmoid scores as a plain array; no graph is built."""
-        with no_grad():
-            s = sigmoid(Tensor(features) @ self.weight + self.bias)
-        return s.values.ravel()
+        """Sigmoid scores as a plain array. The affine map runs on the
+        parameters' arrays, so no operand needs a gradient and no graph is built."""
+        return sigmoid(features @ self.weight.values + self.bias.values).values.ravel()
 
     def loss(self, positive_features, negative_features):
         """Binary cross-entropy on the two feature groups, as one graph node."""

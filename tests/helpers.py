@@ -10,8 +10,8 @@ import numpy as np
 
 from kdlab.autograd import (Tensor, add, backward, batch_norm, cosine_loss, div,
                             l2_distance, linear, log, logistic_loss, matmul, mse, mul,
-                            neg, no_grad, relu, sigmoid, slice_rows, softmax,
-                            softmax_cross_entropy, sqrt, sub, tensor_mean, tensor_sum)
+                            neg, relu, sigmoid, slice_rows, softmax,
+                            softmax_cross_entropy, sqrt, sub, tensor_sum)
 
 EPS = 1e-6
 
@@ -111,13 +111,6 @@ def op_instance(name, rng):
         ww = rng.standard_normal(m if axis == 0 else n)
         return (lambda a: _mix(tensor_sum(a, axis=axis), ww)), \
             [rng.standard_normal((n, m))]
-    if name == "mean":
-        axis = rng.choice([None, 0, 1])
-        if axis is None:
-            return (lambda a: tensor_mean(a)), [rng.standard_normal((n, m))]
-        ww = rng.standard_normal(m if axis == 0 else n)
-        return (lambda a: _mix(tensor_mean(a, axis=axis), ww)), \
-            [rng.standard_normal((n, m))]
     if name == "slice_rows":
         rows = int(n) + 2
         start = int(rng.integers(0, rows - 1))
@@ -149,7 +142,7 @@ def op_instance(name, rng):
 
 CHECKED_OPS = ("add", "sub", "mul", "div", "neg", "matmul", "linear",
                "linear_relu", "batch_norm", "relu", "sigmoid", "log", "sqrt",
-               "softmax", "sum", "mean", "slice_rows", "softmax_cross_entropy",
+               "softmax", "sum", "slice_rows", "softmax_cross_entropy",
                "soft_target_cross_entropy", "mse", "l2_distance", "cosine_loss",
                "logistic_loss")
 
@@ -168,9 +161,15 @@ def sweep_ops(seed, instances_per_op):
 # The loss heads as they were composed from elementary ops before each
 # became one node; the fused ops must match them bit for bit.
 
+def composed_mean(a, axis=None):
+    """Sum times ``1 / n``, the mean the composed graphs were built with."""
+    n = a.values.size if axis is None else a.values.shape[axis]
+    return mul(tensor_sum(a, axis=axis), 1.0 / n)
+
+
 def composed_cross_entropy(z, target):
     ll = tensor_sum(mul(Tensor(target), log(softmax(z))), axis=-1)
-    return neg(ll) if z.ndim == 1 else neg(tensor_mean(ll))
+    return neg(ll) if z.ndim == 1 else neg(composed_mean(ll))
 
 
 def composed_row_distance(a, b, root=False):
@@ -178,7 +177,7 @@ def composed_row_distance(a, b, root=False):
     per_row = tensor_sum(mul(d, d), axis=-1)
     if root:
         per_row = sqrt(per_row)
-    return per_row if a.ndim == 1 else tensor_mean(per_row)
+    return per_row if a.ndim == 1 else composed_mean(per_row)
 
 
 def composed_cosine_loss(a, b):
@@ -186,26 +185,27 @@ def composed_cosine_loss(a, b):
     dot = tensor_sum(mul(a, b), axis=-1)
     na = sqrt(tensor_sum(mul(a, a), axis=-1))
     nb = sqrt(tensor_sum(mul(b, b), axis=-1))
-    return neg(tensor_mean(div(dot, add(mul(na, nb), 1e-12))))
+    return neg(composed_mean(div(dot, add(mul(na, nb), 1e-12))))
 
 
 def composed_logistic_loss(x_pos, x_neg, w, b):
     p_pos = sigmoid(add(matmul(Tensor(x_pos), w), b))
     p_neg = sigmoid(add(matmul(Tensor(x_neg), w), b))
-    return neg(add(tensor_mean(log(p_pos)), tensor_mean(log(sub(1.0, p_neg)))))
+    return neg(add(composed_mean(log(p_pos)), composed_mean(log(sub(1.0, p_neg)))))
 
 
 def composed_predict(net, x):
     """(features, logits) arrays of ``net`` in evaluation mode over all of
-    ``x`` at once, composed from the autograd ops under ``no_grad``: the
-    reference ``Network.predict`` must match bit for bit."""
-    with no_grad():
-        h = Tensor(x)
-        for layer in net.layers[:-1]:
-            h = linear(h, layer.weight, layer.bias, relu=True)
-        h = linear(h, net.layers[-1].weight, net.layers[-1].bias)
-        bn = net.norm
-        if bn is not None:
-            h = (h - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
-        feats = relu(h)
-        return feats.values, matmul(feats, net.classifier.weight).values
+    ``x`` at once, composed from the autograd ops on the parameters' arrays,
+    so no graph is recorded: the reference ``Network.predict`` must match
+    bit for bit."""
+    h = Tensor(x)
+    for layer in net.layers[:-1]:
+        h = linear(h, layer.weight.values, layer.bias.values, relu=True)
+    h = linear(h, net.layers[-1].weight.values, net.layers[-1].bias.values)
+    bn = net.norm
+    if bn is not None:
+        h = div(sub(h, bn.running_mean), np.sqrt(bn.running_var + bn.eps))
+        h = h * bn.gamma.values + bn.beta.values
+    feats = relu(h)
+    return feats.values, matmul(feats, net.classifier.weight.values).values

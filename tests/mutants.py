@@ -51,6 +51,9 @@ MUTANTS = {
         ("baselines.py", "cfg.srd.alpha * srd + cfg.srd.beta * reg", "cfg.srd.alpha * srd"),
     "+ood keeps the rows its filter drops":
         ("baselines.py", "u_idx = u_idx[keep]", "u_idx = u_idx"),
+    "detector scores forward through its trainable bias":
+        ("baselines.py", "features @ self.weight.values + self.bias.values",
+         "self.bias + features @ self.weight.values"),
     "+ood trial returns no detector":
         ("baselines.py", "detector=detector)", "detector=None)"),
     "zero-epoch trial left unscored":

@@ -220,6 +220,31 @@ def test_detector_separates_disjoint_clusters():
     assert roc_auc(scores, truth) > 0.95
 
 
+def test_detector_scores_are_the_clipped_sigmoid_and_build_no_trainable_tensor(monkeypatch):
+    """``scores`` computes on the parameters' arrays, bit for bit, while they
+    require gradients; rows far out hit the clip."""
+    rng = np.random.default_rng(23)
+    det = OodDetector(6, rng)
+    det.bias.values[:] = 0.25
+    feats = rng.standard_normal((40, 6))
+    feats[:4] *= 5000.0
+    assert det.weight.requires_grad and det.bias.requires_grad
+    made, init = [], Tensor.__init__
+
+    def spied(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.requires_grad)
+
+    monkeypatch.setattr(Tensor, "__init__", spied)
+    got = det.scores(feats)
+    assert not any(made)
+    det.loss(feats[:20], feats[20:])  # the spy does see a tensor that needs a gradient
+    assert any(made)
+    monkeypatch.undo()
+    z = np.clip(feats @ det.weight.values + det.bias.values, -500.0, 500.0)
+    assert np.array_equal(got, (1.0 / (1.0 + np.exp(-z))).ravel())
+
+
 # the frozen teacher's outputs, computed once per trial
 # -----------------------------------------------------
 

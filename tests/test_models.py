@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import (composed_cosine_loss, composed_cross_entropy,
-                     composed_logistic_loss, composed_row_distance)
+                     composed_logistic_loss, composed_mean, composed_row_distance)
 from kdlab.autograd import (LAST_BACKWARD_STATS, ShapeError, Tensor, backward,
-                            batch_norm, linear, matmul, mul, slice_rows, softmax,
-                            softmax_cross_entropy, softmax_values, sqrt, tensor_mean,
-                            tensor_sum)
+                            batch_norm, div, linear, matmul, mul, slice_rows, softmax,
+                            softmax_cross_entropy, softmax_values, sqrt, sub, tensor_sum)
 from kdlab.baselines import OodDetector, stage2_loss
 from kdlab.config import ArchParams, parse_config
 from kdlab.data import one_hot
@@ -434,12 +433,12 @@ def _composed_affine(layer, x, relu=False):
 
 
 def _composed_batchnorm(bn, x):
-    mu = tensor_mean(x, axis=0)
-    centered = x - mu
-    var = tensor_mean(centered * centered, axis=0)
+    mu = composed_mean(x, axis=0)
+    centered = sub(x, mu)
+    var = composed_mean(centered * centered, axis=0)
     bn.running_mean = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu.values
     bn.running_var = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var.values
-    normed = centered / sqrt(var + bn.eps)
+    normed = div(centered, sqrt(var + bn.eps))
     return normed * bn.gamma + bn.beta
 
 
