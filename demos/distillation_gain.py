@@ -14,7 +14,7 @@ from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
 from kdlab.harness import get_teacher
-from kdlab.metrics import top_k_accuracy
+from kdlab.metrics import mimicry_kl, top_k_accuracy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 0
@@ -28,9 +28,8 @@ print(f"dataset: {cfg.dataset.classes} seen classes in "
       f"R^{cfg.dataset.input_dim}, {len(ds.labeled_x)} labeled, "
       f"{len(ds.unlabeled)} unlabeled (overlap {cfg.dataset.overlap})")
 
-teacher = get_teacher(cfg, ds, SEED)
-_, logits = teacher.predict(ds.test_x)
-t_acc = top_k_accuracy(logits, ds.test_y, 1)
+teacher, t_logits = get_teacher(cfg, ds, SEED)
+t_acc = top_k_accuracy(t_logits, ds.test_y, 1)
 print(f"teacher ({'x'.join(str(h) for h in cfg.teacher.hidden)}): "
       f"test top-1 {100 * t_acc:.2f}%")
 
@@ -46,7 +45,7 @@ for mode in ("supervised", "srd"):
         print(f"  epoch {epoch:2d}: train loss {rec.total:.4f}, "
               f"test top-1 {100 * rec.test_acc:.2f}%")
     print(f"  final: top-1 {100 * r.top1:.2f}%, top-5 {100 * r.top5:.2f}%, "
-          f"teacher-agreement KL {r.mimicry:.4f}")
+          f"teacher-agreement KL {mimicry_kl(t_logits, r.test_logits):.4f}")
 
 gain = results["srd"].top1 - results["supervised"].top1
 print(f"\ndistillation gain on this seed: {100 * gain:+.2f} points")

@@ -34,7 +34,7 @@ print(f"pool: {len(ds.unlabeled)} samples, {int(ind.sum())} from seen "
       f"classes, {int((~ind).sum())} from {cfg.dataset.unseen_classes} "
       f"unseen classes placed far from the seen ones")
 
-teacher = get_teacher(cfg, ds, SEED)
+teacher, _ = get_teacher(cfg, ds, SEED)
 results = {}
 for mode in ("supervised", "pseudo_label", "srd", "srd+ood"):
     results[mode] = train_with_mode(ds, teacher, override(cfg, mode=mode),

@@ -19,8 +19,7 @@ from .autograd import (NumericError, Tensor, backward, cosine_loss, logistic_los
 from .autograd import cosine_rows  # noqa: F401
 from .data import augment, one_hot, select_unlabeled
 from .distill import MODES, feature_reg, srd_loss, train_epochs
-from .metrics import (USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, mimicry_kl,
-                      top_k_accuracy)
+from .metrics import USAGE_COLUMNS, MetricsRecord, evaluate_accuracy, top_k_accuracy
 from .models import build_student
 from .optim import Sgd
 
@@ -99,8 +98,9 @@ def ood_filter(detector, features, ind_flags):
 class RunResult:
     """Everything a single stage-2 trial produces.
 
-    ``top1``, ``top5`` and ``mimicry`` score the last epoch's student on
-    the test rows. ``detector`` is the +ood modes' detector, else None.
+    ``test_logits`` are the last epoch's student logits on the test rows,
+    which ``top1`` and ``top5`` score. ``detector`` is the +ood modes'
+    detector, else None.
     """
 
     records: list
@@ -109,7 +109,7 @@ class RunResult:
     adaptor: object
     top1: float
     top5: float
-    mimicry: float
+    test_logits: np.ndarray
     detector: object
 
 
@@ -196,8 +196,9 @@ def _trial_setup(dataset, teacher, cfg, terms, select_seed):
     table = teacher.predict(x)
     chosen = select_unlabeled(full, run.unlabeled_fraction, run.selection_policy,
                               table[1][n_l:], seed=select_seed)
-    rows = np.concatenate([np.arange(n_l), n_l + chosen])
-    x, table = x[rows], [out[rows] for out in table]
+    if len(chosen) < len(full):  # the whole pool is the forwarded row space itself
+        rows = np.concatenate([np.arange(n_l), n_l + chosen])
+        x, table = x[rows], [out[rows] for out in table]
     pseudo_y = pseudo_weight = None
     if "pseudo" in terms:
         pseudo_y = pseudo_label(table[1][n_l:])
@@ -296,5 +297,5 @@ def train_with_mode(dataset, teacher, cfg, seed):
         records=records, usage=usage, student=student, adaptor=adaptor,
         top1=top_k_accuracy(test_logits, dataset.test_y, 1),
         top5=top_k_accuracy(test_logits, dataset.test_y, k5),
-        mimicry=mimicry_kl(teacher.predict(dataset.test_x)[1], test_logits),
+        test_logits=test_logits,
         detector=detector)

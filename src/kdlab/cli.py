@@ -16,9 +16,9 @@ import numpy as np
 from .config import POLICIES, ConfigError, override, parse_config
 from .data import SettingError, export_csv, generate, save_dataset
 from .distill import AccuracyFloorError, DivergenceError
-from .harness import (SWEEP_FRACTIONS, _checked_teacher, compare, compare_markdown,
-                      get_teacher, run, sweep, teacher_path, write_compare_csv)
-from .metrics import evaluate_accuracy, feature_dump
+from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher, run, sweep,
+                      teacher_path, write_compare_csv)
+from .metrics import feature_dump, top_k_accuracy
 from .models import build_student, build_teacher, load_checkpoint
 
 
@@ -114,8 +114,7 @@ def _cmd_pretrain(args):
         cfg = override(cfg, cache_dir=args.out)
     ds = generate(cfg.dataset)
     for seed in cfg.run.seeds:
-        teacher, acc = _checked_teacher(cfg, ds, seed)
-        acc = evaluate_accuracy(teacher, ds.test_x, ds.test_y) if acc is None else acc
+        acc = top_k_accuracy(get_teacher(cfg, ds, seed)[1], ds.test_y, 1)
         print(f"teacher seed {seed}: {teacher_path(cfg, seed)} (held-out acc {acc:.4f})")
     return 0
 
@@ -165,7 +164,7 @@ def _cmd_dump_features(args):
     ds = generate(cfg.dataset)
     seed = cfg.run.seeds[0]
     if args.net == "teacher" and not args.checkpoint:
-        net = get_teacher(cfg, ds, seed)
+        net, _ = get_teacher(cfg, ds, seed)
     else:
         if not args.checkpoint:
             raise ConfigError("dump-features: student dumps need --checkpoint")

@@ -24,7 +24,7 @@ from .config import ConfigError, format_config, load_config, override
 from .data import SettingError, generate
 from .distill import AccuracyFloorError, DivergenceError, pretrain_teacher
 from .fileio import atomic_open
-from .metrics import (evaluate_accuracy, fmt, summary_stats, write_csv,
+from .metrics import (fmt, mimicry_kl, summary_stats, top_k_accuracy, write_csv,
                       write_metrics_csv, write_usage_csv, write_usage_curve_csv)
 from .models import build_teacher, load_checkpoint, save_checkpoint
 
@@ -52,14 +52,10 @@ def teacher_path(cfg, seed):
 
 
 def get_teacher(cfg, dataset, seed):
-    """This trial's teacher, loaded from the cache or trained and cached, frozen.
-    Either way, after nonzero teacher epochs, held-out accuracy below a nonzero
+    """This trial's teacher, loaded from the cache or trained and cached, frozen,
+    and its logits on the held-out rows, forwarded once per trial. Either way,
+    after nonzero teacher epochs, held-out accuracy below a nonzero
     ``teacher_floor`` raises ``AccuracyFloorError``; the teacher stays cached."""
-    return _checked_teacher(cfg, dataset, seed)[0]
-
-
-def _checked_teacher(cfg, dataset, seed):
-    """``get_teacher``'s teacher and the accuracy its floor check measured, or None."""
     os.makedirs(cfg.run.cache_dir, exist_ok=True)
     path = teacher_path(cfg, seed)
     teacher = build_teacher(cfg, seed)
@@ -77,12 +73,12 @@ def _checked_teacher(cfg, dataset, seed):
                                   exc.detail) from exc
         save_checkpoint(path, teacher.state_arrays())
     teacher.freeze()
-    accuracy = None
+    test_logits = teacher.predict(dataset.test_x)[1]
     if cfg.run.teacher_epochs and cfg.run.teacher_floor:
-        accuracy = evaluate_accuracy(teacher, dataset.test_x, dataset.test_y)
+        accuracy = top_k_accuracy(test_logits, dataset.test_y, 1)
         if accuracy < cfg.run.teacher_floor:
             raise AccuracyFloorError(accuracy, cfg.run.teacher_floor)
-    return teacher, accuracy
+    return teacher, test_logits
 
 
 def run(cfg):
@@ -95,7 +91,7 @@ def run(cfg):
     dataset = generate(cfg.dataset)
     per_seed = []
     for seed in cfg.run.seeds:
-        teacher = get_teacher(cfg, dataset, seed)
+        teacher, teacher_logits = get_teacher(cfg, dataset, seed)
         result = train_with_mode(dataset, teacher, cfg, seed)
         write_metrics_csv(os.path.join(out, f"metrics_seed{seed}.csv"), result.records)
         if result.usage:
@@ -106,7 +102,7 @@ def run(cfg):
         state.update(result.adaptor.state_arrays())
         save_checkpoint(os.path.join(out, f"student_seed{seed}.ckpt"), state)
         per_seed.append({"seed": seed, "top1": result.top1, "top5": result.top5,
-                         "mimicry_kl": result.mimicry})
+                         "mimicry_kl": mimicry_kl(teacher_logits, result.test_logits)})
 
     mode = cfg.run.mode
     stats = _aggregates(per_seed)

@@ -5,7 +5,9 @@ Usage: ``python tests/mutants.py [NAME_SUBSTRING ...]``
 For each listed mutant (or those whose name contains one of the given
 substrings) it copies ``src`` to a temporary directory, applies one
 source edit there and runs ``pytest -x -q -m "not acceptance" tests``
-against the copy. A mutant is killed when a test fails, and the first
+against the copy, with pytest's temporary files under that directory too.
+The mutants run ``os.cpu_count()`` at a time, and their lines print in
+``MUTANTS`` order. A mutant is killed when a test fails, and the first
 failing test is named; otherwise it survived. The unmutated copy runs
 first and must pass. The exit status is 1 if it fails or any mutant
 survives. A survivor calls for a new test, never for a weaker mutant.
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +71,11 @@ MUTANTS = {
         ("optim.py", "np.multiply(self.weight_decay, w, out=s)", "np.multiply(0.0, w, out=s)"),
     "sampler reuses the unlabeled order once the pool runs out":
         ("data.py", "                    cycle = rng.permutation(n_unlabeled)\n", ""),
+    "a sub-pool trial keeps every pool row":
+        ("baselines.py", "if len(chosen) < len(full):", "if False:"),
+    "trial's mimicry KL takes the student's logits as the teacher's":
+        ("harness.py", "mimicry_kl(teacher_logits, result.test_logits)",
+         "mimicry_kl(result.test_logits, teacher_logits)"),
     "teacher floor checked only for freshly trained teachers":
         ("harness.py", "if cfg.run.teacher_epochs and cfg.run.teacher_floor:",
          "if cfg.run.teacher_epochs and cfg.run.teacher_floor and not cached:"),
@@ -100,7 +108,7 @@ MUTANTS = {
 }
 
 
-def run_suite(src):
+def run_suite(src, basetemp):
     """Run the fast suite against the package under ``src``; (passed, first failure)."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     where = subprocess.run([sys.executable, "-c", "import kdlab; print(kdlab.__file__)"],
@@ -111,7 +119,7 @@ def run_suite(src):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-             "-m", "not acceptance", "tests"],
+             "--basetemp", basetemp, "-m", "not acceptance", "tests"],
             env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
     except subprocess.TimeoutExpired:
         return False, "(timed out after 600 s)"
@@ -140,23 +148,27 @@ def with_mutant(tmp, edit):
     return src
 
 
+def run_mutant(edit):
+    """The fast suite against a fresh copy of ``src`` with ``edit`` (None: unmutated)."""
+    with tempfile.TemporaryDirectory(prefix="kdlab-mutants-") as tmp:
+        return run_suite(with_mutant(tmp, edit), os.path.join(tmp, "pytest"))
+
+
 def main(argv):
     chosen = {name: edit for name, edit in MUTANTS.items()
               if not argv or any(part in name for part in argv)}
     width = max(map(len, chosen), default=0)
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="kdlab-mutants-") as tmp:
-        passed, failure = run_suite(with_mutant(os.path.join(tmp, "clean"), None))
+    passed, failure = run_mutant(None)
     if not passed:
         print(f"the unmutated copy fails: {failure}")
         return 1
     survivors = 0
-    for name, edit in chosen.items():
-        with tempfile.TemporaryDirectory(prefix="kdlab-mutants-") as tmp:
-            passed, failure = run_suite(with_mutant(tmp, edit))
-        survivors += passed
-        print(f"{name:<{width}}  {'SURVIVED' if passed else 'killed  '}  {failure}",
-              flush=True)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for name, (passed, failure) in zip(chosen, pool.map(run_mutant, chosen.values())):
+            survivors += passed
+            print(f"{name:<{width}}  {'SURVIVED' if passed else 'killed  '}  {failure}",
+                  flush=True)
     print(f"{len(chosen) - survivors} of {len(chosen)} killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0

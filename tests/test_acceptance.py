@@ -25,7 +25,7 @@ from kdlab.config import load_config, override
 from kdlab.data import generate
 from kdlab.distill import srd_loss
 from kdlab.harness import get_teacher, run, sweep, teacher_path
-from kdlab.metrics import roc_auc, usage_curve, write_usage_curve_csv
+from kdlab.metrics import mimicry_kl, roc_auc, usage_curve, write_usage_curve_csv
 from kdlab.models import Classifier
 from kdlab.optim import Sgd
 
@@ -77,7 +77,7 @@ def _trial(preset, mode, seed, variant=None, use_unlabeled=True):
     if key not in _trials:
         ds = _dataset(cfg)
         t0 = time.time()
-        teacher = get_teacher(cfg, ds, seed)
+        teacher, _ = get_teacher(cfg, ds, seed)
         _trials[key] = train_with_mode(ds, teacher, cfg, seed)
         _elapsed[key] = time.time() - t0
     return _trials[key]
@@ -173,9 +173,16 @@ def test_criterion_06_unlabeled_pool_gain():
                    f"(>= 0.3pt)")
 
 
+def _mimicry(preset, mode, seed):
+    """The trial's teacher-agreement KL, as ``harness.run`` computes it."""
+    cfg = _preset(preset)
+    teacher_logits = get_teacher(cfg, _dataset(cfg), seed)[1]
+    return mimicry_kl(teacher_logits, _trial(preset, mode, seed).test_logits)
+
+
 def test_criterion_07_mimicry_every_seed():
-    pairs = [(_trial("standard", "srd", s).mimicry,
-              _trial("standard", "supervised", s).mimicry) for s in SEEDS]
+    pairs = [(_mimicry("standard", "srd", s), _mimicry("standard", "supervised", s))
+             for s in SEEDS]
     ok = all(srd < sup for srd, sup in pairs)
     worst = max(srd - sup for srd, sup in pairs)
     detail = ", ".join(f"seed{s} {a:.3f}<{b:.3f}"
@@ -212,7 +219,7 @@ def test_criterion_09_ood_filter_marginality():
         assert os.path.getsize(path) > 0
         assert all(0.0 <= row["kept_frac"] <= 1.0
                    for row in usage_curve(result.usage))
-        teacher = get_teacher(cfg, ds, s)
+        teacher, _ = get_teacher(cfg, ds, s)
         feats, _ = teacher.predict(ds.unlabeled.inputs)
         aucs.append(roc_auc(result.detector.scores(feats), ind))
     mean_delta = float(np.mean(deltas))

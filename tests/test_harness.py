@@ -109,22 +109,26 @@ def _count_pretraining(monkeypatch):
     return calls
 
 
-def _assert_frozen(net):
-    assert net.frozen
-    assert all(not p.requires_grad and p.grad is None for p in net.parameters())
+def _checked(got, ds):
+    """``get_teacher``'s teacher, once it is frozen and its held-out logits are its own."""
+    teacher, test_logits = got
+    assert teacher.frozen
+    assert all(not p.requires_grad and p.grad is None for p in teacher.parameters())
+    assert np.array_equal(test_logits, teacher.predict(ds.test_x)[1])
+    return teacher
 
 
 def test_get_teacher_trains_once_then_loads(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path)
     ds = generate(cfg.dataset)
     calls = _count_pretraining(monkeypatch)
-    first = get_teacher(cfg, ds, seed=0)
+    first = _checked(get_teacher(cfg, ds, seed=0), ds)
     cache = tmp_path / "cache"
     files = sorted(os.listdir(cache))
     assert len(files) == 1
     stamp = os.path.getmtime(cache / files[0])
 
-    second = get_teacher(cfg, ds, seed=0)
+    second = _checked(get_teacher(cfg, ds, seed=0), ds)
     assert len(calls) == 1
     assert sorted(os.listdir(cache)) == files
     assert os.path.getmtime(cache / files[0]) == stamp
@@ -137,7 +141,7 @@ def test_get_teacher_passes_an_easy_floor_frozen_on_both_paths(tmp_path):
     cfg = _cfg(tmp_path, teacher_epochs=10, teacher_floor=0.5)
     ds = generate(cfg.dataset)
     for _ in ("trained", "cached"):
-        _assert_frozen(get_teacher(cfg, ds, seed=0))
+        _checked(get_teacher(cfg, ds, seed=0), ds)
 
 
 @pytest.mark.parametrize("part, field, values", [
@@ -171,7 +175,7 @@ def test_get_teacher_raises_on_a_missed_floor_cached_or_fresh(tmp_path, monkeypa
     with pytest.raises(AccuracyFloorError) as cached:
         get_teacher(cfg, ds, seed=0)
     assert cached.value.accuracy == fresh.value.accuracy
-    _assert_frozen(get_teacher(override(cfg, teacher_floor=0.0), ds, seed=0))
+    _checked(get_teacher(override(cfg, teacher_floor=0.0), ds, seed=0), ds)
     assert calls == []
 
 
@@ -180,8 +184,7 @@ def test_zero_teacher_epochs_hand_out_the_frozen_init_unchecked(tmp_path):
     ds = generate(cfg.dataset)
     init = build_teacher(cfg, 9)
     for _ in ("trained", "cached"):
-        net = get_teacher(cfg, ds, seed=9)
-        _assert_frozen(net)
+        net = _checked(get_teacher(cfg, ds, seed=9), ds)
         sa, sb = net.state_arrays(), init.state_arrays()
         for name in sa:
             assert np.array_equal(sa[name], sb[name]), name
@@ -208,6 +211,37 @@ def test_a_trial_builds_each_network_once(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, mode="srd", seeds=(0,))
     run(cfg)
     assert built == [cfg.teacher, cfg.student, "adaptor"]
+
+
+@pytest.mark.parametrize("mode", ["supervised", "srd"])
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+def test_a_trial_forwards_its_frozen_teacher_over_the_test_rows_once(tmp_path, monkeypatch,
+                                                                       mode, floor):
+    """get_teacher's held-out logits serve the floor check and the trial's mimicry KL."""
+    cfg = _cfg(tmp_path, mode=mode, teacher_floor=floor)
+    ds = generate(cfg.dataset)
+    events = []
+    predict, train = models.Network.predict, harness.train_with_mode
+
+    def spy(net, x):
+        if net.frozen and np.array_equal(x, ds.test_x):
+            events.append("teacher")
+        return predict(net, x)
+
+    def trial(dataset, teacher, cfg, seed):
+        events.append(train(dataset, teacher, cfg, seed))
+        return events[-1]
+
+    monkeypatch.setattr(models.Network, "predict", spy)
+    monkeypatch.setattr(harness, "train_with_mode", trial)
+    run(cfg)
+    monkeypatch.undo()
+    assert events[::2] == ["teacher"] * len(cfg.run.seeds)
+    lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    for seed, result in zip(cfg.run.seeds, events[1::2], strict=True):
+        kl = metrics.mimicry_kl(get_teacher(cfg, ds, seed)[1], result.test_logits)
+        assert (f"{mode}-seed{seed},{mode},{seed},{metrics.fmt(result.top1)},"
+                f"{metrics.fmt(result.top5)},{metrics.fmt(kl)}") in lines
 
 
 def test_run_writes_the_complete_artifact_set(tmp_path):
@@ -562,25 +596,29 @@ def test_cli_reports_a_missed_floor_with_code_3(tmp_path):
 
 @pytest.mark.parametrize("floor", [0.3, 0.0])
 def test_cli_pretrain_evaluates_each_teacher_once(tmp_path, monkeypatch, capsys, floor):
-    """The floor check's accuracy is the one printed; no floor, one evaluation."""
+    """The floor check's held-out logits are the ones printed; with or without
+    a floor, the frozen teacher runs over the test rows once."""
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(TINY.replace("teacher_floor = 0.0", f"teacher_floor = {floor}"))
-    evaluated = []
-    original = metrics.evaluate_accuracy
+    ds = generate(parse_config(TINY).dataset)
+    forwarded = []
+    predict = models.Network.predict
 
-    def counted(*args):
-        evaluated.append(original(*args))
-        return evaluated[-1]
+    def spy(net, x):
+        out = predict(net, x)
+        if net.frozen and np.array_equal(x, ds.test_x):
+            forwarded.append(out[1])
+        return out
 
-    monkeypatch.setattr(harness, "evaluate_accuracy", counted)
-    monkeypatch.setattr(cli, "evaluate_accuracy", counted)
+    monkeypatch.setattr(models.Network, "predict", spy)
     args = ["pretrain", "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path)]
     assert cli.main(args) == 0
     [line] = capsys.readouterr().out.splitlines()
-    assert len(evaluated) == 1
+    [logits] = forwarded
+    acc = metrics.top_k_accuracy(logits, ds.test_y, 1)
     path = teacher_path(override(parse_config(TINY), cache_dir=str(tmp_path)), 0)
-    assert line == f"teacher seed 0: {path} (held-out acc {evaluated[0]:.4f})"
-    assert evaluated[0] >= floor
+    assert line == f"teacher seed 0: {path} (held-out acc {acc:.4f})"
+    assert acc >= floor
 
 
 def test_cli_reports_divergence_with_code_4(tmp_path):
