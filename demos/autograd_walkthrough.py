@@ -71,10 +71,13 @@ print(f"\nw1[{i},{j}] gradient: analytic {analytic:.10f}, "
 # a few optimizer steps drive the loss down
 # ----------------------------------------------------------------------
 
+# Clear the gradients the walk above left behind; from here on each
+# step zeroes them after it updates the weights.
+w1.grad[...] = 0.0
+w2.grad[...] = 0.0
 opt = Sgd([w1, w2], lr=0.1, momentum=0.9)
 print("\nSGD with momentum on the same batch:")
 for step in range(5):
-    opt.zero_grad()
     loss = softmax_cross_entropy(matmul(relu(matmul(x, w1)), w2), labels)
     backward(loss)
     opt.step()

@@ -99,8 +99,8 @@ class RunResult:
     """Everything a single stage-2 trial produces.
 
     ``test_logits`` are the last epoch's student logits on the test rows,
-    which ``top1`` and ``top5`` score. ``detector`` is the +ood modes'
-    detector, else None.
+    which ``top1`` and ``top5`` score. ``adaptor`` is the srd modes'
+    adaptor and ``detector`` the +ood modes' detector, else None.
     """
 
     records: list
@@ -277,7 +277,7 @@ def train_with_mode(dataset, teacher, cfg, seed):
                            pseudo_weight=pseudo_weight, view2=view2)
 
     params = list(student.parameters())
-    if "srd" in terms:
+    if adaptor is not None:
         params += adaptor.parameters()
     records, usage, test_logits = [], [], None
     for epoch, means in train_epochs(mode, seed, params, cfg.optimizer, cfg.run.epochs,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import POLICIES, ConfigError, override, parse_config
-from .data import SettingError, export_csv, generate, save_dataset
+from .data import SettingError, export_csv, generate
 from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher, run, sweep,
                       teacher_path, write_compare_csv)
@@ -34,7 +34,7 @@ def _build_parser():
         description="teacher-student distillation experiments on synthetic open-set data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-data", help="write the dataset and CSV exports")
+    p = sub.add_parser("generate-data", help="write the dataset's pools as CSV files")
     _add_common(p)
 
     p = sub.add_parser("pretrain", help="stage 1 only: pretrain and cache teachers")
@@ -95,13 +95,9 @@ def _load_cfg(args):
 
 def _cmd_generate_data(args):
     cfg = _load_cfg(args)
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
     ds = generate(cfg.dataset)
-    path = os.path.join(out, "dataset.bin")
-    save_dataset(path, ds)
-    export_csv(ds, out)
-    print(f"dataset: {path}")
+    export_csv(ds, cfg.run.out)
+    print(f"dataset csv files: {cfg.run.out}")
     print(f"labeled {len(ds.labeled_x)}, test {len(ds.test_x)}, "
           f"unlabeled {len(ds.unlabeled)}")
     return 0

@@ -8,7 +8,7 @@ pool are hidden from training code; evaluation paths read them through
 ``UnlabeledPool.eval_view``.
 
 Everything is a pure function of the parameter set, including the seed,
-so serialized and regenerated datasets agree bit for bit.
+so every command regenerates the same dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import dataclasses
 import numpy as np
 
 from .autograd import softmax_values
-from .fileio import atomic_open, load_arrays, save_arrays
-
-DATASET_MAGIC = "kdlab-dataset 1"
-
-# Payload blocks of a dataset file, in file order.
-DATASET_BLOCKS = ("labeled_x", "labeled_y", "test_x", "test_y", "unlabeled_x",
-                  "unlabeled_tags", "unlabeled_ind")
+from .fileio import atomic_open
 
 PLACEMENTS = ("mixed", "near", "far")
 
@@ -288,75 +282,6 @@ class BatchSampler:
                 cursor += grab
                 need -= grab
             yield order[start:start + self.batch_size], np.concatenate(take)
-
-
-def save_dataset(path, ds: OpenSetDataset):
-    """Text header with the parameters, then little-endian double blocks.
-
-    One ``param name value`` line per ``DatasetParams`` field, then one
-    ``block name rows cols`` line per ``DATASET_BLOCKS`` entry, in the
-    ``fileio.save_arrays`` layout; ``path`` never holds a partial dataset.
-    """
-    tags, flags = ds.unlabeled.eval_view()
-    arrays = (ds.labeled_x, ds.labeled_y, ds.test_x, ds.test_y,
-              ds.unlabeled.inputs, tags, flags)
-    params = [f"param {field.name} {getattr(ds.params, field.name)!r}"
-              for field in dataclasses.fields(DatasetParams)]
-    save_arrays(path, DATASET_MAGIC,
-                [(name, np.atleast_2d(arr)) for name, arr in zip(DATASET_BLOCKS, arrays)],
-                head=params, tag="block")
-
-
-def _parse_param(kind, raw):
-    if kind == "str":
-        return raw.strip("'")
-    return float(raw) if kind == "float" else int(raw)
-
-
-def load_dataset(path) -> OpenSetDataset:
-    """Read a dataset file back, checking every byte of it.
-
-    Every ``DatasetParams`` field and every block must appear exactly
-    once, and the payload must hold exactly the bytes the blocks
-    declare. Anything else raises ``ValueError`` naming the path and the
-    param or block at fault.
-    """
-    who = "load_dataset"
-    lines, blocks = load_arrays(path, DATASET_MAGIC, who, tag="block",
-                                names=DATASET_BLOCKS, rank=2)
-    field_types = {f.name: f.type for f in dataclasses.fields(DatasetParams)}
-    kwargs = {}
-    for line in lines:
-        kind, name, raw = (line.split(maxsplit=2) + ["", ""])[:3]
-        if kind != "param":
-            raise ValueError(f"{who}: {path}: unexpected header line {line!r}")
-        if name not in field_types:
-            raise ValueError(f"{who}: {path}: unknown param {name!r}")
-        if name in kwargs:
-            raise ValueError(f"{who}: {path}: param {name!r} appears twice")
-        try:
-            kwargs[name] = _parse_param(field_types[name], raw)
-        except ValueError:
-            raise ValueError(f"{who}: {path}: bad value for param {name!r}: "
-                             f"{raw!r}") from None
-    missing = [n for n in field_types if n not in kwargs]
-    if missing:
-        raise ValueError(f"{who}: {path}: missing param {missing[0]!r}")
-    try:
-        params = DatasetParams(**kwargs)
-    except SettingError as exc:
-        raise ValueError(f"{who}: {path}: bad value for param {exc.key!r}: "
-                         f"{exc.message}") from None
-    pool = UnlabeledPool(blocks["unlabeled_x"],
-                         blocks["unlabeled_tags"].ravel().astype(np.int64),
-                         blocks["unlabeled_ind"].ravel() > 0.5)
-    return OpenSetDataset(
-        params=params,
-        labeled_x=blocks["labeled_x"],
-        labeled_y=blocks["labeled_y"].ravel().astype(np.int64),
-        test_x=blocks["test_x"],
-        test_y=blocks["test_y"].ravel().astype(np.int64),
-        unlabeled=pool)
 
 
 def export_csv(ds: OpenSetDataset, out_dir):

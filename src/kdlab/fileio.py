@@ -1,10 +1,10 @@
 """Whole-file writes that never leave a partial file at their path, and the
-named-array file format that checkpoints and datasets share.
+named-array file format of checkpoints.
 
 A named-array file is a text header, then raw little-endian float64 data.
-The header is a magic line, any lines the caller adds, one
-``[tag] name dim0 dim1 ...`` line per array, and a lone ``data`` line;
-the payload is each array's bytes in header order.
+The header is a magic line, one ``name dim0 dim1 ...`` line per array,
+and a lone ``data`` line; the payload is each array's bytes in header
+order.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ def atomic_open(path, mode="wb"):
         raise
 
 
-def save_arrays(path, magic, arrays, head=(), tag=None):
+def save_arrays(path, magic, arrays):
     """Write ``(name, array)`` pairs, in order, with ``atomic_open``.
 
-    ``head`` lines follow the magic line; ``tag``, if given, starts every
-    array line. Round-trips bit-exactly through ``load_arrays``.
+    Round-trips bit-exactly through ``load_arrays``.
     """
-    lines = [magic, *head]
+    lines = [magic]
     for name, arr in arrays:
-        lines.append(" ".join([*([tag] if tag else []), name, *map(str, arr.shape)]))
+        lines.append(" ".join([name, *map(str, arr.shape)]))
     lines.append("data")
     with atomic_open(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
@@ -52,13 +51,12 @@ def save_arrays(path, magic, arrays, head=(), tag=None):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_arrays(path, magic, who, tag=None, names=None, rank=None):
-    """Read a file ``save_arrays`` wrote, checking every byte of it.
+def load_arrays(path, magic, who):
+    """Read a file ``save_arrays`` wrote into a dict of float64 arrays,
+    checking every byte of it.
 
-    Returns the header lines that are not array lines and a dict of
-    float64 arrays. ``names`` is the full set of array names and ``rank``
-    each array's dimension count, if given. Any other content raises
-    ``ValueError`` naming ``who``, the path and the array at fault.
+    Any other content raises ``ValueError`` naming ``who``, the path and
+    the array at fault.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -68,44 +66,33 @@ def load_arrays(path, magic, who, tag=None, names=None, rank=None):
         raise ValueError(f"{who}: bad header in {path}")
     if not sep:
         raise ValueError(f"{who}: {path}: no 'data' line ends the header")
-    kind = tag or "array"
-    other, arrays = [], {}
+    arrays = {}
     offset = 0
     name = None
     for line in lines[1:]:
         words = line.split()
-        if tag is not None:
-            if words[:1] != [tag]:
-                other.append(line)
-                continue
-            words = words[1:] or [""]
-        elif not words:
+        if not words:
             continue
         name, dims = words[0], words[1:]
-        if names is not None and name not in names:
-            raise ValueError(f"{who}: {path}: unknown {kind} {name!r}")
         if name in arrays:
-            raise ValueError(f"{who}: {path}: {kind} {name!r} appears twice")
+            raise ValueError(f"{who}: {path}: array {name!r} appears twice")
         try:
             shape = tuple(int(d) for d in dims)
-            if any(d < 0 for d in shape) or (rank is not None and len(shape) != rank):
+            if any(d < 0 for d in shape):
                 raise ValueError
         except ValueError:
-            raise ValueError(f"{who}: {path}: bad value for {kind} {name!r}: "
+            raise ValueError(f"{who}: {path}: bad value for array {name!r}: "
                              f"{' '.join(dims)!r}") from None
         count = math.prod(shape)
         if offset + count * 8 > len(payload):
             raise ValueError(
-                f"{who}: {path}: payload ends inside {kind} {name!r} "
+                f"{who}: {path}: payload ends inside array {name!r} "
                 f"({len(payload) - offset} of {count * 8} bytes)")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
-    missing = [n for n in names or () if n not in arrays]
-    if missing:
-        raise ValueError(f"{who}: {path}: missing {kind} {missing[0]!r}")
     if offset != len(payload):
-        where = f"{kind} {name!r}" if name is not None else "the header"
+        where = f"array {name!r}" if name is not None else "the header"
         raise ValueError(f"{who}: {path}: {len(payload) - offset} trailing bytes "
                          f"after {where}")
-    return other, arrays
+    return arrays

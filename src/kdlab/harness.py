@@ -1,8 +1,9 @@
 """Experiment orchestration: cached stage 1, per-seed stage 2, reports.
 
 A run writes into its output directory: the resolved configuration
-echo, per-seed metric and usage CSVs, student and adaptor checkpoints,
-and a summary table with per-seed rows plus mean and std aggregates.
+echo, per-seed metric and usage CSVs, student checkpoints (holding the
+adaptor too in the srd modes), and a summary table with per-seed rows
+plus mean and std aggregates.
 Nothing written depends on wall time, so identical configurations
 produce byte-identical files.
 
@@ -99,7 +100,8 @@ def run(cfg):
             write_usage_curve_csv(os.path.join(out, f"usage_curve_seed{seed}.csv"),
                                   result.usage)
         state = result.student.state_arrays()
-        state.update(result.adaptor.state_arrays())
+        if result.adaptor is not None:
+            state.update(result.adaptor.state_arrays())
         save_checkpoint(os.path.join(out, f"student_seed{seed}.ckpt"), state)
         per_seed.append({"seed": seed, "top1": result.top1, "top5": result.top5,
                          "mimicry_kl": mimicry_kl(teacher_logits, result.test_logits)})

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, batch_norm, linear, matmul
+from .distill import MODES
 from .fileio import load_arrays, save_arrays
 
 CHECKPOINT_MAGIC = "kdlab-ckpt 1"
@@ -251,10 +252,13 @@ def build_teacher(cfg, seed):
 
 
 def build_student(cfg, seed):
-    """The trial seed's (student, adaptor), which stage 2 trains. The config
-    has already checked the capacity rule."""
+    """The trial seed's (student, adaptor), which stage 2 trains; the adaptor
+    is None unless the mode's terms include srd, the one term that reads it.
+    The config has already checked the capacity rule."""
     _, s_seed, a_seed = _part_seeds(seed)
     student = make_network(cfg.dataset.input_dim, cfg.student, cfg.dataset.classes, s_seed)
+    if "srd" not in MODES[cfg.run.mode]:
+        return student, None
     rng = np.random.default_rng(np.random.SeedSequence(a_seed))
     return student, Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim, rng)
 
@@ -278,4 +282,4 @@ def load_checkpoint(path):
     dimension, a missing ``data`` line or a payload of the wrong length
     raises ``ValueError`` naming the path and the array.
     """
-    return load_arrays(path, CHECKPOINT_MAGIC, "load_checkpoint")[1]
+    return load_arrays(path, CHECKPOINT_MAGIC, "load_checkpoint")

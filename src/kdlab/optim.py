@@ -65,14 +65,11 @@ class Sgd:
             p.values, p.grad = w, g
             self._grads.append((p, g))
 
-    def _check_grads(self):
+    def step(self):
         for p, g in self._grads:
             if p.grad is not g:
                 raise ValueError("Sgd: parameter has no gradient buffer "
                                  "(its grad was unset or rebound after Sgd was built)")
-
-    def step(self):
-        self._check_grads()
         w, g, v, s = self._w, self._g, self._v, self._s
         np.multiply(self.weight_decay, w, out=s)
         np.add(g, s, out=s)
@@ -81,7 +78,3 @@ class Sgd:
         np.multiply(self.lr, v, out=s)
         w -= s
         g[...] = 0.0
-
-    def zero_grad(self):
-        self._check_grads()
-        self._g[...] = 0.0

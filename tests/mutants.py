@@ -69,6 +69,10 @@ MUTANTS = {
         ("distill.py", "if epoch >= m:", "if epoch > m:"),
     "Sgd.step drops weight decay":
         ("optim.py", "np.multiply(self.weight_decay, w, out=s)", "np.multiply(0.0, w, out=s)"),
+    "top_k_accuracy ranks tied logits with an unstable sort":
+        ("metrics.py", 'np.argsort(-logits, axis=1, kind="stable")', "np.argsort(-logits, axis=1)"),
+    "teacher_score ranks tied confidences with an unstable sort":
+        ("data.py", 'np.argsort(-conf, kind="stable")', "np.argsort(-conf)"),
     "sampler reuses the unlabeled order once the pool runs out":
         ("data.py", "                    cycle = rng.permutation(n_unlabeled)\n", ""),
     "a sub-pool trial keeps every pool row":
@@ -79,6 +83,8 @@ MUTANTS = {
     "teacher floor checked only for freshly trained teachers":
         ("harness.py", "if cfg.run.teacher_epochs and cfg.run.teacher_floor:",
          "if cfg.run.teacher_epochs and cfg.run.teacher_floor and not cached:"),
+    "sweep's trend rule adds its slack instead of forgiving it":
+        ("harness.py", '["mean_top1"] - SWEEP_SLACK', '["mean_top1"] + SWEEP_SLACK'),
     "teacher cache key ignores the teacher epochs":
         ("harness.py", "parts), epochs, int(seed)))", "parts), int(seed)))"),
     "teacher cache key ignores the trial seed":
@@ -93,14 +99,14 @@ MUTANTS = {
              line.replace("extractor.", "") for line in STATE_PREFIXES)),
     "build_teacher takes the student's stream":
         ("models.py", "t_seed = _part_seeds(seed)[0]", "t_seed = _part_seeds(seed)[1]"),
+    "a mode without srd builds the adaptor":
+        ("models.py", 'if "srd" not in MODES[cfg.run.mode]:', "if False:"),
     "build_student swaps the student's and the adaptor's streams":
         ("models.py", "_, s_seed, a_seed = _part_seeds(seed)", "_, a_seed, s_seed = _part_seeds(seed)"),
     "Network.freeze leaves requires_grad on":
         ("models.py", "p.requires_grad = False", "p.requires_grad = True"),
     "load_arrays accepts trailing bytes":
         ("fileio.py", "if offset != len(payload):", "if offset > len(payload):"),
-    "load_dataset accepts a repeated param":
-        ("data.py", "if name in kwargs:", "if name in kwargs and False:"),
     "atomic_open writes path in place":
         ("fileio.py", 'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path"),
     "atomic_open leaves its temporary file after a failure":

@@ -1,4 +1,5 @@
-"""Dataset generation, augmentation, selection, batching, serialization."""
+"""Dataset generation, augmentation, selection, batching, a dataset's arrays in
+the named-array codec, CSV export."""
 
 import dataclasses
 import hashlib
@@ -8,8 +9,8 @@ import pytest
 
 from kdlab.config import ArchParams
 from kdlab.data import (BatchSampler, DatasetParams, UnlabeledPool, augment,
-                        export_csv, generate, load_dataset, one_hot, save_dataset,
-                        select_unlabeled)
+                        export_csv, generate, one_hot, select_unlabeled)
+from kdlab.fileio import load_arrays, save_arrays
 from kdlab.models import make_network
 
 SMALL = DatasetParams(seed=5, input_dim=6, classes=4, unseen_classes=3,
@@ -163,10 +164,26 @@ def test_teacher_score_matches_confidence_sort():
     _, logits = teacher.predict(ds.unlabeled.inputs)
     conf = softmax_values(logits).max(axis=1)
     keep = round(0.5 * len(ds.unlabeled))
-    order = np.argsort(-conf, kind="stable")
-    expect = np.sort(order[:keep])
+    expect = sorted(sorted(range(len(conf)), key=lambda i: (-conf[i], i))[:keep])
     sub = select_unlabeled(ds.unlabeled, 0.5, "teacher_score", logits)
-    assert np.array_equal(sub, expect)
+    assert sub.tolist() == expect
+
+
+def test_teacher_score_breaks_many_ties_by_pool_index():
+    """Each row's logits are one of three patterns, so confidences tie in large
+    groups and the cut falls inside one; the lowest pool indices stay."""
+    from kdlab.autograd import softmax_values
+
+    rng = np.random.default_rng(4)
+    patterns = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    logits = patterns[rng.integers(0, 3, 400)]
+    pool = UnlabeledPool(np.zeros((400, 2)), np.zeros(400, dtype=np.int64),
+                         np.ones(400, dtype=bool))
+    conf = softmax_values(logits).max(axis=1)
+    for fraction in (0.1, 0.5, 0.9):
+        keep = round(fraction * 400)
+        expect = sorted(sorted(range(400), key=lambda i: (-conf[i], i))[:keep])
+        assert select_unlabeled(pool, fraction, "teacher_score", logits).tolist() == expect
 
 
 def test_selection_rejects_bad_arguments():
@@ -256,111 +273,107 @@ def test_sampler_index_stream_is_pinned(args, digest):
     assert h.hexdigest()[:16] == digest
 
 
-# serialization
-# -------------
+# a dataset's arrays in the named-array codec
+# -------------------------------------------
+# The codec stores float64 only; the integer labels and tags and the boolean
+# flags of a dataset must still come back exactly.
 
-def test_dataset_roundtrip_is_bit_exact(tmp_path):
-    ds = generate(SMALL)
-    path = tmp_path / "ds.bin"
-    save_dataset(str(path), ds)
-    back = load_dataset(str(path))
-    assert back.params == ds.params
-    assert np.array_equal(back.labeled_x, ds.labeled_x)
-    assert np.array_equal(back.labeled_y, ds.labeled_y)
-    assert np.array_equal(back.test_x, ds.test_x)
-    assert np.array_equal(back.test_y, ds.test_y)
-    assert np.array_equal(back.unlabeled.inputs, ds.unlabeled.inputs)
-    t0, f0 = ds.unlabeled.eval_view()
-    t1, f1 = back.unlabeled.eval_view()
-    assert np.array_equal(t0, t1)
-    assert np.array_equal(f0, f1)
+DATASET_MAGIC = "kdlab-dataset-test 1"
+ARRAY_NAMES = ("labeled_x", "labeled_y", "test_x", "test_y", "unlabeled_x",
+               "unlabeled_tags", "unlabeled_ind")
 
 
-def test_dataset_loader_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not-a-dataset\ndata\n")
-    with pytest.raises(ValueError):
-        load_dataset(str(path))
+def _dataset_arrays(ds):
+    return list(zip(ARRAY_NAMES, (ds.labeled_x, ds.labeled_y, ds.test_x, ds.test_y,
+                                  ds.unlabeled.inputs, *ds.unlabeled.eval_view()),
+                    strict=True))
 
 
 def _saved(tmp_path):
     path = tmp_path / "ds.bin"
-    save_dataset(str(path), generate(SMALL))
+    save_arrays(str(path), DATASET_MAGIC, _dataset_arrays(generate(SMALL)))
     return path
+
+
+def _load(path):
+    return load_arrays(str(path), DATASET_MAGIC, "dataset")
 
 
 def _edit_header(path, old, new):
     head, sep, payload = path.read_bytes().partition(b"data\n")
     assert old.encode() in head
-    path.write_bytes(head.replace(old.encode(), new.encode()) + sep + payload)
+    path.write_bytes(head.replace(old.encode(), new.encode(), 1) + sep + payload)
+
+
+def test_dataset_roundtrip_is_bit_exact(tmp_path):
+    ds = generate(SMALL)
+    back = _load(_saved(tmp_path))
+    assert list(back) == list(ARRAY_NAMES)
+    for name, arr in _dataset_arrays(ds):
+        assert back[name].shape == arr.shape, name
+        assert np.array_equal(back[name], arr), name
+    assert np.array_equal(back["labeled_y"].astype(np.int64), ds.labeled_y)
+    assert np.array_equal(back["unlabeled_ind"].astype(bool), ds.unlabeled.eval_view()[1])
+
+
+def test_dataset_loader_rejects_foreign_header(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"not-a-dataset\ndata\n")
+    with pytest.raises(ValueError, match=r"dataset: bad header in .*bad\.bin"):
+        _load(path)
 
 
 def test_dataset_loader_rejects_trailing_bytes(tmp_path):
     path = _saved(tmp_path)
     path.write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(ValueError,
-                       match=r"ds\.bin.*8 trailing bytes after block 'unlabeled_ind'"):
-        load_dataset(str(path))
+                       match=r"ds\.bin.*8 trailing bytes after array 'unlabeled_ind'"):
+        _load(path)
 
 
 def test_dataset_loader_rejects_a_short_payload(tmp_path):
     path = _saved(tmp_path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError,
-                       match=r"ds\.bin.*payload ends inside block 'unlabeled_ind'"):
-        load_dataset(str(path))
-
-
-def test_dataset_loader_rejects_an_unknown_param(tmp_path):
-    path = _saved(tmp_path)
-    _edit_header(path, "param seed ", "param sead ")
-    with pytest.raises(ValueError, match=r"ds\.bin.*unknown param 'sead'"):
-        load_dataset(str(path))
-
-
-def test_dataset_loader_rejects_a_missing_param(tmp_path):
-    path = _saved(tmp_path)
-    _edit_header(path, f"param noise {SMALL.noise!r}\n", "")
-    with pytest.raises(ValueError, match=r"ds\.bin.*missing param 'noise'"):
-        load_dataset(str(path))
+                       match=r"ds\.bin.*payload ends inside array 'unlabeled_ind'"):
+        _load(path)
 
 
 def test_dataset_loader_rejects_bad_values_and_repeats(tmp_path):
+    rows, cols = generate(SMALL).test_x.shape
     path = _saved(tmp_path)
-    _edit_header(path, f"param seed {SMALL.seed!r}", "param seed x")
-    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'seed'"):
-        load_dataset(str(path))
+    _edit_header(path, f"test_x {rows} {cols}", f"test_x x {cols}")
+    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for array 'test_x'"):
+        _load(path)
     path = _saved(tmp_path)
-    _edit_header(path, f"param classes {SMALL.classes!r}", "param classes 1")
-    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for param 'classes'"):
-        load_dataset(str(path))
+    _edit_header(path, f"test_x {rows} {cols}", f"test_x -{rows} {cols}")
+    with pytest.raises(ValueError, match=r"ds\.bin.*bad value for array 'test_x'"):
+        _load(path)
     path = _saved(tmp_path)
-    seed_line = f"param seed {SMALL.seed!r}\n"
-    _edit_header(path, seed_line, seed_line + seed_line)
-    with pytest.raises(ValueError, match=r"ds\.bin.*param 'seed' appears twice"):
-        load_dataset(str(path))
-    path = _saved(tmp_path)
-    _edit_header(path, "block test_x", "block labeled_x")
-    with pytest.raises(ValueError, match=r"ds\.bin.*block 'labeled_x' appears twice"):
-        load_dataset(str(path))
+    _edit_header(path, "test_x ", "labeled_x ")
+    with pytest.raises(ValueError, match=r"ds\.bin.*array 'labeled_x' appears twice"):
+        _load(path)
 
 
 def test_dataset_write_that_fails_midway_leaves_no_file(tmp_path):
     ds = generate(SMALL)
     path = tmp_path / "ds.bin"
-    # The header and the first blocks are written before the test pool fails.
-    broken = dataclasses.replace(
-        ds, test_x=np.full(ds.test_x.shape, "not a number", dtype=object))
+    # The header and the labeled arrays are written before the test pool fails.
+    broken = _dataset_arrays(dataclasses.replace(
+        ds, test_x=np.full(ds.test_x.shape, "not a number", dtype=object)))
     with pytest.raises(ValueError):
-        save_dataset(str(path), broken)
+        save_arrays(str(path), DATASET_MAGIC, broken)
     assert list(tmp_path.iterdir()) == []
-    save_dataset(str(path), ds)
+    save_arrays(str(path), DATASET_MAGIC, _dataset_arrays(ds))
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        save_dataset(str(path), broken)
+        save_arrays(str(path), DATASET_MAGIC, broken)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
+
+# csv export
+# ----------
 
 def test_export_csv_row_counts_and_precision(tmp_path):
     ds = generate(SMALL)

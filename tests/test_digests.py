@@ -30,8 +30,7 @@ import pytest
 
 import kdlab
 from kdlab.config import POLICIES, override, parse_config
-from kdlab.data import (DATASET_BLOCKS, BatchSampler, DatasetParams, augment, generate,
-                        select_unlabeled)
+from kdlab.data import BatchSampler, DatasetParams, augment, generate, select_unlabeled
 from kdlab.distill import MODES
 from kdlab.harness import run
 
@@ -39,6 +38,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PINS = os.path.join(HERE, "artifact_digests.json")
 DATA_PINS = os.path.join(HERE, "data_digests.json")
 PRESETS = os.path.join(HERE, os.pardir, "presets")
+# The generated arrays' names in the data pins' keys.
+DATA_ARRAYS = ("labeled_x", "labeled_y", "test_x", "test_y", "unlabeled_x",
+               "unlabeled_tags", "unlabeled_ind")
 
 REDUCED = """
 [dataset]
@@ -125,7 +127,7 @@ def data_digests():
             ds = generate(parse_config(fh.read()).dataset)
         arrays = (ds.labeled_x, ds.labeled_y, ds.test_x, ds.test_y, ds.unlabeled.inputs,
                   *ds.unlabeled.eval_view())
-        for name, arr in zip(DATASET_BLOCKS, arrays, strict=True):
+        for name, arr in zip(DATA_ARRAYS, arrays, strict=True):
             table[f"generate/{file[:-len('.cfg')]}/{name}"] = _array_sha(arr)
     ds = generate(DatasetParams())
     table["augment"] = _array_sha(augment(ds.labeled_x[:64], 4.0, np.random.default_rng(7)))

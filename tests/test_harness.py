@@ -193,8 +193,11 @@ def test_zero_teacher_epochs_hand_out_the_frozen_init_unchecked(tmp_path):
 # full runs
 # ---------
 
-def test_a_trial_builds_each_network_once(tmp_path, monkeypatch):
-    """One seed: one teacher, one student and one adaptor, none built to be dropped."""
+@pytest.mark.parametrize("mode, adaptors", [("srd", ["adaptor"]), ("supervised", [])],
+                         ids=["srd", "supervised"])
+def test_a_trial_builds_each_network_once(tmp_path, monkeypatch, mode, adaptors):
+    """One seed: one teacher, one student and, only where srd reads it, one
+    adaptor, none built to be dropped."""
     built = []
     make_network, adaptor = models.make_network, models.Adaptor
 
@@ -208,9 +211,33 @@ def test_a_trial_builds_each_network_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(models, "make_network", network)
     monkeypatch.setattr(models, "Adaptor", counted_adaptor)
-    cfg = _cfg(tmp_path, mode="srd", seeds=(0,))
+    cfg = _cfg(tmp_path, mode=mode, seeds=(0,))
     run(cfg)
-    assert built == [cfg.teacher, cfg.student, "adaptor"]
+    assert built == [cfg.teacher, cfg.student, *adaptors]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_checkpoint_holds_the_adaptor_exactly_in_the_srd_modes(tmp_path, monkeypatch,
+                                                                 capsys, mode):
+    """Only srd reads the adaptor, so only the srd modes train and save one;
+    ``dump-features --net student`` loads either kind of checkpoint."""
+    cfg = _cfg(tmp_path, mode=mode, seeds=(0,), epochs=1)
+    run(cfg)
+    ckpt = str(tmp_path / "out" / "student_seed0.ckpt")
+    names = set(models.load_checkpoint(ckpt))
+    student = set(models.build_student(cfg, 0)[0].state_arrays())
+    adaptor = set(models.Adaptor(cfg.student.feature_dim, cfg.teacher.feature_dim,
+                                 np.random.default_rng(0)).state_arrays())
+    assert names == (student | adaptor if "srd" in MODES[mode] else student)
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["dump-features", "--net", "student", "--config", str(cfg_path),
+                     "--checkpoint", ckpt, "--out", str(tmp_path / "dump")]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "dump" / "features_student_test.csv").read_text().splitlines()
+    assert len(lines) == 1 + cfg.dataset.classes * cfg.dataset.test_per_class
 
 
 @pytest.mark.parametrize("mode", ["supervised", "srd"])
@@ -495,6 +522,23 @@ def test_sweep_reports_each_fraction(tmp_path):
     assert os.path.exists(out / "fraction_50" / "summary.csv")
 
 
+@pytest.mark.parametrize("dip, trend_ok", [(0.0019, True), (0.0021, False)])
+def test_sweep_trend_forgives_a_dip_of_up_to_its_slack(tmp_path, monkeypatch, dip, trend_ok):
+    """A fraction may score up to ``SWEEP_SLACK`` (0.2 points) below the one
+    before it; the runs are stubbed, so only the rule is tested."""
+    top1 = {0.25: 0.8, 0.5: 0.9, 1.0: 0.9 - dip}
+
+    def stub(cfg):
+        return {"mean_top1": top1[cfg.run.unlabeled_fraction], "std_top1": 0.0}
+
+    monkeypatch.setattr(harness, "run", stub)
+    rows, ok = sweep(_cfg(tmp_path, "sweep", seeds=(0,)), (1.0, 0.25, 0.5))
+    assert [r["mean_top1"] for r in rows] == [0.8, 0.9, 0.9 - dip]
+    assert ok == trend_ok
+    report = (tmp_path / "sweep" / "sweep_report.txt").read_text()
+    assert report.endswith(f"within 0.2 points: {'yes' if trend_ok else 'no'}\n")
+
+
 @pytest.mark.parametrize("fractions, message", [
     ((0.25, 0.254), "0.25 and 0.254 share fraction_25"),
     ((0.5, 1.0, 0.5), "0.5 appears twice"),
@@ -725,6 +769,5 @@ def test_cli_generate_data_writes_the_dataset(tmp_path):
     code, out, err = _cli(["generate-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "data")], cwd=tmp_path)
     assert code == 0, err
-    names = set(os.listdir(tmp_path / "data"))
-    assert {"labeled.csv", "test.csv", "unlabeled.csv",
-            "unlabeled_eval.csv"} <= names
+    assert sorted(os.listdir(tmp_path / "data")) == [
+        "labeled.csv", "test.csv", "unlabeled.csv", "unlabeled_eval.csv"]

@@ -38,6 +38,17 @@ def test_tied_logits_rank_by_class_index():
     assert top_k_accuracy(logits, np.array([1, 2]), k=2) == 1.0
 
 
+def test_many_tied_logits_rank_by_class_index():
+    """Rows of three distinct values, so an unstable sort would reorder ties."""
+    rng = np.random.default_rng(11)
+    logits = rng.integers(0, 3, (200, 8)).astype(float)
+    labels = rng.integers(0, 8, 200)
+    for k in range(1, 8):
+        hits = sum(int(labels[i]) in sorted(range(8), key=lambda j: (-logits[i, j], j))[:k]
+                   for i in range(len(logits)))
+        assert top_k_accuracy(logits, labels, k) == hits / len(logits), k
+
+
 def test_top_k_argument_checks():
     logits = np.zeros((2, 3))
     with pytest.raises(ValueError):
