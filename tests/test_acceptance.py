@@ -1,11 +1,11 @@
 """The package's shipped claims, one test per criterion.
 
-Everything runs at full preset scale through the same harness plumbing
-as the command line (cached stage 1, then the mode engine), so a pass
-here means the advertised behavior, not a trimmed stand-in. Expensive
-trials are computed once and shared across criteria. Each test prints a
-single PASS/FAIL line with the measured numbers; run with ``-s`` to see
-them on passing runs too.
+Everything runs at full preset scale through ``harness.run``, as
+``kdlab distill`` does, and the criteria read what it returns and the
+files it writes, so a pass here means the advertised behavior, not a
+trimmed stand-in. Each run is made once and shared across criteria. Each
+test prints a single PASS/FAIL line with the measured numbers; run with
+``-s`` to see them on passing runs too.
 """
 
 import dataclasses
@@ -20,12 +20,11 @@ import pytest
 from helpers import CHECKED_OPS, sweep_ops
 from test_digests import PINS, fingerprint, sha16, skip_unless_pinned_here
 from kdlab.autograd import Tensor, backward, matmul
-from kdlab.baselines import train_with_mode
 from kdlab.config import load_config, override
 from kdlab.data import generate
 from kdlab.distill import srd_loss
 from kdlab.harness import get_teacher, run, sweep, teacher_path
-from kdlab.metrics import mimicry_kl, roc_auc, usage_curve, write_usage_curve_csv
+from kdlab.metrics import roc_auc
 from kdlab.models import Classifier
 from kdlab.optim import Sgd
 
@@ -34,9 +33,7 @@ pytestmark = pytest.mark.acceptance
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = None  # the run tree, made by _work_tree once a criterion runs
 
-_datasets = {}
-_trials = {}
-_elapsed = {}
+_runs = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -60,31 +57,27 @@ def _preset(name):
 SEEDS = _load("standard").run.seeds
 
 
-def _dataset(cfg):
-    if cfg.dataset not in _datasets:
-        _datasets[cfg.dataset] = generate(cfg.dataset)
-    return _datasets[cfg.dataset]
-
-
-def _trial(preset, mode, seed, variant=None, use_unlabeled=True):
-    """One full stage-1 + stage-2 trial, memoized across criteria."""
+def _run(preset, mode, variant=None, use_unlabeled=True):
+    """``harness.run`` over the preset's seeds, memoized across criteria."""
     cfg = override(_preset(preset), mode=mode, use_unlabeled=use_unlabeled)
     if variant is not None:
         cfg = dataclasses.replace(
             cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
-    # Keyed on the resolved variant: naming the preset's own one reuses its trial.
-    key = (preset, mode, cfg.srd.variant, use_unlabeled, seed)
-    if key not in _trials:
-        ds = _dataset(cfg)
-        t0 = time.time()
-        teacher, _ = get_teacher(cfg, ds, seed)
-        _trials[key] = train_with_mode(ds, teacher, cfg, seed)
-        _elapsed[key] = time.time() - t0
-    return _trials[key]
+    # Keyed on the resolved variant: naming the preset's own one reuses its run.
+    key = (preset, mode, cfg.srd.variant, use_unlabeled)
+    if key not in _runs:
+        _runs[key] = run(override(cfg, out=os.path.join(WORK, "-".join(map(str, key)))))
+    return _runs[key]
 
 
-def _mean_top1(preset, mode, **kw):
-    return float(np.mean([_trial(preset, mode, s, **kw).top1 for s in SEEDS]))
+def _per_seed(preset, mode, metric):
+    return [row[metric] for row in _run(preset, mode)["per_seed"]]
+
+
+def _csv(path):
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
 
 
 def _report(number, ok, detail):
@@ -140,9 +133,9 @@ def test_criterion_03_feature_recovery():
 
 
 def test_criterion_04_distillation_gain():
-    sup = _mean_top1("standard", "supervised")
-    srd = _mean_top1("standard", "srd")
-    slowest = max(_elapsed[k] for k in _elapsed if k[1] == "srd")
+    sup = _run("standard", "supervised")["mean_top1"]
+    srd = _run("standard", "srd")["mean_top1"]
+    slowest = max(_per_seed("standard", "srd", "seconds"))
     gain = srd - sup
     ok = gain >= 0.010 and slowest < 120.0
     _report(4, ok, f"standard preset, {len(SEEDS)} seeds: srd "
@@ -152,8 +145,8 @@ def test_criterion_04_distillation_gain():
 
 
 def test_criterion_05_variant_ordering():
-    sup = _mean_top1("standard", "supervised")
-    means = {v: _mean_top1("standard", "srd", variant=v)
+    sup = _run("standard", "supervised")["mean_top1"]
+    means = {v: _run("standard", "srd", variant=v)["mean_top1"]
              for v in ("mse", "kl", "pmse")}
     order = sorted(means, key=means.get, reverse=True)
     ok = all(m > sup for m in means.values())
@@ -163,8 +156,8 @@ def test_criterion_05_variant_ordering():
 
 
 def test_criterion_06_unlabeled_pool_gain():
-    semi = _mean_top1("near", "srd")
-    labeled_only = _mean_top1("near", "srd", use_unlabeled=False)
+    semi = _run("near", "srd")["mean_top1"]
+    labeled_only = _run("near", "srd", use_unlabeled=False)["mean_top1"]
     margin = semi - labeled_only
     ok = margin >= 0.003
     _report(6, ok, f"near preset: distilling over the unlabeled pool "
@@ -173,16 +166,9 @@ def test_criterion_06_unlabeled_pool_gain():
                    f"(>= 0.3pt)")
 
 
-def _mimicry(preset, mode, seed):
-    """The trial's teacher-agreement KL, as ``harness.run`` computes it."""
-    cfg = _preset(preset)
-    teacher_logits = get_teacher(cfg, _dataset(cfg), seed)[1]
-    return mimicry_kl(teacher_logits, _trial(preset, mode, seed).test_logits)
-
-
 def test_criterion_07_mimicry_every_seed():
-    pairs = [(_mimicry("standard", "srd", s), _mimicry("standard", "supervised", s))
-             for s in SEEDS]
+    pairs = list(zip(_per_seed("standard", "srd", "mimicry_kl"),
+                     _per_seed("standard", "supervised", "mimicry_kl")))
     ok = all(srd < sup for srd, sup in pairs)
     worst = max(srd - sup for srd, sup in pairs)
     detail = ", ".join(f"seed{s} {a:.3f}<{b:.3f}"
@@ -192,8 +178,8 @@ def test_criterion_07_mimicry_every_seed():
 
 
 def test_criterion_08_pseudo_label_failure():
-    pairs = [(_trial("openset", "pseudo_label", s).top1,
-              _trial("openset", "supervised", s).top1) for s in SEEDS]
+    pairs = list(zip(_per_seed("openset", "pseudo_label", "top1"),
+                     _per_seed("openset", "supervised", "top1")))
     ok = all(p < sup for p, sup in pairs)
     detail = ", ".join(f"seed{s} {100 * p:.2f}<{100 * sup:.2f}"
                        for s, (p, sup) in zip(SEEDS, pairs))
@@ -202,26 +188,23 @@ def test_criterion_08_pseudo_label_failure():
 
 
 def test_criterion_09_ood_filter_marginality():
-    sup = _mean_top1("standard", "supervised")
-    srd = _mean_top1("standard", "srd")
+    sup = _run("standard", "supervised")["mean_top1"]
+    srd = _run("standard", "srd")["mean_top1"]
     deltas, aucs = [], []
-    curve_dir = os.path.join(WORK, "ood-curves")
-    os.makedirs(curve_dir, exist_ok=True)
-    cfg = override(_preset("standard"), mode="srd+ood")
-    ds = _dataset(cfg)
+    cfg = _preset("standard")
+    ds = generate(cfg.dataset)
     _, ind = ds.unlabeled.eval_view()
-    for s in SEEDS:
-        result = _trial("standard", "srd+ood", s)
-        deltas.append(abs(result.top1 - _trial("standard", "srd", s).top1))
-        assert len(result.usage) == cfg.run.epochs
-        path = os.path.join(curve_dir, f"usage_curve_seed{s}.csv")
-        write_usage_curve_csv(path, result.usage)
-        assert os.path.getsize(path) > 0
-        assert all(0.0 <= row["kept_frac"] <= 1.0
-                   for row in usage_curve(result.usage))
+    ood = _run("standard", "srd+ood")
+    for row, srd_top1 in zip(ood["per_seed"], _per_seed("standard", "srd", "top1")):
+        s = row["seed"]
+        deltas.append(abs(row["top1"] - srd_top1))
+        usage = _csv(os.path.join(ood["out"], f"usage_seed{s}.csv"))
+        curve = _csv(os.path.join(ood["out"], f"usage_curve_seed{s}.csv"))
+        assert len(usage) == len(curve) == cfg.run.epochs
+        assert all(0.0 <= r["kept_frac"] <= 1.0 for r in curve)
         teacher, _ = get_teacher(cfg, ds, s)
         feats, _ = teacher.predict(ds.unlabeled.inputs)
-        aucs.append(roc_auc(result.detector.scores(feats), ind))
+        aucs.append(roc_auc(row["result"].detector.scores(feats), ind))
     mean_delta = float(np.mean(deltas))
     gain = srd - sup
     ok = mean_delta < gain and all(a > 0.5 for a in aucs)
@@ -232,8 +215,8 @@ def test_criterion_09_ood_filter_marginality():
 
 
 def test_criterion_10_consistency_term_degrades():
-    srd = _mean_top1("standard", "srd")
-    dac = _mean_top1("standard", "srd+dac")
+    srd = _run("standard", "srd")["mean_top1"]
+    dac = _run("standard", "srd+dac")["mean_top1"]
     ok = dac <= srd
     _report(10, ok, f"standard preset: srd+dac {100 * dac:.2f}% <= srd "
                     f"{100 * srd:.2f}% ({100 * (dac - srd):+.2f}pt)")
@@ -279,5 +262,5 @@ STANDARD_TEACHER = "3d87c69c2e4570ac"
 def test_standard_seed0_teacher_replays_its_pinned_bytes():
     skip_unless_pinned_here(PINS, fingerprint())
     cfg = _preset("standard")
-    get_teacher(cfg, _dataset(cfg), 0)  # cached by the criteria above when they ran
+    get_teacher(cfg, generate(cfg.dataset), 0)  # cached by the criteria above when they ran
     assert sha16(teacher_path(cfg, 0)) == STANDARD_TEACHER

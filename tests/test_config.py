@@ -53,7 +53,8 @@ def test_format_parse_round_trip_is_exact():
     """Echo parsing reproduces the configuration object, field for field."""
     texts = ["",
              "[dataset]\nseed = 9\noverlap = 0.25\nunseen_placement = far\n",
-             "[run]\nmode = kd+ood\nseeds = 3,4\nunlabeled_fraction = 0.5\n"]
+             "[run]\nmode = kd+ood\nseeds = 3,4\nunlabeled_fraction = 0.5\n",
+             "[optimizer]\nlr = 0.012345678901234567\nweight_decay = 1e-07\n"]
     for text in texts:
         cfg = parse_config(text)
         again = parse_config(format_config(cfg))

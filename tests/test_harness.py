@@ -272,6 +272,8 @@ def test_a_trial_forwards_its_frozen_teacher_over_the_test_rows_once(tmp_path, m
 
 
 def test_run_writes_the_complete_artifact_set(tmp_path):
+    """The files a run writes, and the per-seed rows it returns: in seed order,
+    each with the trial it trained, whose arrays its checkpoint holds bit for bit."""
     cfg = _cfg(tmp_path, mode="srd+ood")
     summary = run(cfg)
     out = tmp_path / "out"
@@ -281,6 +283,15 @@ def test_run_writes_the_complete_artifact_set(tmp_path):
                 "usage_curve_seed0.csv", "usage_curve_seed1.csv",
                 "student_seed0.ckpt", "student_seed1.ckpt"}
     assert set(os.listdir(out)) == expected
+
+    assert [row["seed"] for row in summary["per_seed"]] == [0, 1]
+    for row in summary["per_seed"]:
+        result = row["result"]
+        trained = {**result.student.state_arrays(), **result.adaptor.state_arrays()}
+        saved = models.load_checkpoint(str(out / f"student_seed{row['seed']}.ckpt"))
+        assert trained.keys() == saved.keys()
+        assert all(trained[k].tobytes() == saved[k].tobytes() for k in saved)
+        assert row["top1"] == result.top1 and row["seconds"] > 0
 
     rows = read_summary(str(out))
     assert [r["seed"] for r in rows] == [0, 1]
