@@ -144,14 +144,14 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
             term = "srd"
             x_a = adaptor(feats_s)
             z_hat = teacher.classifier(x_a)
-            srd = srd_loss(cfg.srd.variant, z_t, z_hat)
+            srd = srd_loss(cfg.distill.variant, z_t, z_hat)
             reg = feature_reg(feats_t, x_a)
-            total = total + cfg.srd.alpha * srd + cfg.srd.beta * reg
+            total = total + cfg.distill.alpha * srd + cfg.distill.beta * reg
             srd_term, reg_term = srd.item(), reg.item()
         if "kd" in terms:
             term = "kd"
-            kd = kd_loss(z_t, logits_s, cfg.srd.kd_temperature)
-            total = total + cfg.baselines.kd_weight * kd
+            kd = kd_loss(z_t, logits_s, cfg.distill.kd_temperature)
+            total = total + cfg.distill.kd_weight * kd
             if "srd" not in terms:
                 srd_term = kd.item()
         if "pseudo" in terms and len(x) > n_l:
@@ -167,7 +167,7 @@ def stage2_loss(terms, nets, cfg, x, y, teacher_out, pseudo_y=None,
             # Two-view consistency: the teacher's logits past n_l are on view 1.
             _, z_s_v2 = student.forward(view2)
             dac = cosine_loss(z_s_v2, z_t[n_l:])
-            total = total + cfg.baselines.dac_weight * dac
+            total = total + cfg.distill.dac_weight * dac
     except NumericError as exc:
         exc.term = term
         raise
@@ -202,7 +202,7 @@ def _trial_setup(dataset, teacher, cfg, terms, select_seed):
     pseudo_y = pseudo_weight = None
     if "pseudo" in terms:
         pseudo_y = pseudo_label(table[1][n_l:])
-        pseudo_weight = cfg.baselines.pseudo_weight * len(chosen) / n_l
+        pseudo_weight = cfg.distill.pseudo_weight * len(chosen) / n_l
     return x, table, full.eval_view()[1][chosen], pseudo_y, pseudo_weight
 
 
@@ -248,8 +248,8 @@ def train_with_mode(dataset, teacher, cfg, seed):
         det_rng = np.random.default_rng(streams[1])
         detector = OodDetector(cfg.teacher.feature_dim,
                                np.random.default_rng(streams[3]),
-                               threshold=cfg.baselines.ood_threshold)
-        det_opt = Sgd(detector.parameters(), cfg.baselines.detector_lr, 0.9)
+                               threshold=cfg.distill.ood_threshold)
+        det_opt = Sgd(detector.parameters(), cfg.distill.detector_lr, 0.9)
     x_all, table, pool_ind, pseudo_y, pseudo_weight = _trial_setup(
         dataset, teacher, cfg, terms, select_seed)
     counts = dict.fromkeys(USAGE_COLUMNS[1:], 0)
@@ -268,8 +268,8 @@ def train_with_mode(dataset, teacher, cfg, seed):
         if use_dac and len(u_idx):
             # Pool rows become view 1, and the teacher's outputs there follow.
             n = len(rows)
-            x[n:] = augment(x[n:], cfg.baselines.dac_strength, aug_rng)
-            view2 = augment(x_all[idx[n:]], cfg.baselines.dac_strength, aug_rng)
+            x[n:] = augment(x[n:], cfg.distill.dac_strength, aug_rng)
+            view2 = augment(x_all[idx[n:]], cfg.distill.dac_strength, aug_rng)
             for out, fresh in zip(teacher_out, teacher.predict(x[n:])):
                 out[n:] = fresh
         return stage2_loss(terms, nets, cfg, x, y_l[rows], teacher_out,

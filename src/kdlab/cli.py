@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .config import POLICIES, ConfigError, override, parse_config
-from .data import SettingError, export_csv, generate
+from .config import ConfigError, override, parse_config
+from .data import POLICIES, SettingError, export_csv, generate
 from .distill import AccuracyFloorError, DivergenceError
 from .harness import (SWEEP_FRACTIONS, compare, compare_markdown, get_teacher, run, sweep,
                       teacher_path, write_compare_csv)

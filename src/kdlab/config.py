@@ -6,9 +6,10 @@ Unknown sections or keys, malformed values and out-of-range settings are
 rejected with the offending line number. An empty file is a complete,
 valid configuration: every key takes its value from ``DEFAULTS``.
 
-Each part of the configuration is a frozen dataclass that checks its own
-fields on construction, raising ``SettingError`` that names the field,
-so ``dataclasses.replace`` and ``override`` check what they set.
+Each section is a frozen dataclass, the ``ExperimentConfig`` field of the
+same name, that checks its own fields on construction, raising
+``SettingError`` that names the field, so ``dataclasses.replace`` and
+``override`` check what they set.
 
 ``format_config`` writes the fully resolved configuration back out in a
 fixed order; parsing that echo reproduces the identical configuration.
@@ -19,11 +20,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .data import DatasetParams, SettingError
-from .distill import MODES, SrdConfig
+from .data import POLICIES, DatasetParams, SettingError
+from .distill import MODES, VARIANTS
 from .models import parameter_count
-
-POLICIES = ("random", "teacher_score")
 
 
 class ConfigError(ValueError):
@@ -75,7 +74,13 @@ class OptimParams:
 
 
 @dataclasses.dataclass(frozen=True)
-class BaselineParams:
+class DistillParams:
+    """The srd term (variant, weights) and the baselines' settings."""
+
+    variant: str = "mse"
+    alpha: float = 1.0
+    beta: float = 1.0
+    kd_temperature: float = 4.0
     kd_weight: float = 0.9
     dac_weight: float = 1.0
     dac_strength: float = 4.0
@@ -84,6 +89,13 @@ class BaselineParams:
     detector_lr: float = 0.05
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise SettingError("variant", f"must be one of {', '.join(VARIANTS)}")
+        for key in ("alpha", "beta"):
+            if getattr(self, key) < 0.0:
+                raise SettingError(key, "must be nonnegative")
+        if self.kd_temperature <= 0.0:
+            raise SettingError("kd_temperature", "must be positive")
         for key in ("kd_weight", "dac_weight", "dac_strength", "pseudo_weight"):
             if getattr(self, key) < 0.0:
                 raise SettingError(key, "must be nonnegative")
@@ -134,12 +146,11 @@ class ExperimentConfig:
     teacher: ArchParams
     student: ArchParams
     optimizer: OptimParams
-    srd: SrdConfig
-    baselines: BaselineParams
+    distill: DistillParams
     run: RunParams
 
     def __post_init__(self):
-        # the capacity rule; the key names the part and field a parse reports
+        # the capacity rule; the key names the section and field a parse reports
         d = self.dataset
         if parameter_count(d.input_dim, self.teacher, d.classes) < \
                 parameter_count(d.input_dim, self.student, d.classes):
@@ -151,21 +162,15 @@ DEFAULTS = ExperimentConfig(
     teacher=ArchParams(hidden=(256, 256), feature_dim=64, feature_norm=True),
     student=ArchParams(hidden=(32, 32), feature_dim=16, feature_norm=True),
     optimizer=OptimParams(),
-    srd=SrdConfig(),
-    baselines=BaselineParams(),
+    distill=DistillParams(),
     run=RunParams(),
 )
 
-# ExperimentConfig field -> the config-file section its keys live in
-PARTS = {"dataset": "dataset", "teacher": "teacher", "student": "student",
-         "optimizer": "optimizer", "srd": "distill", "baselines": "distill",
-         "run": "run"}
-
-# section -> key -> kind (int, float, bool, str, ints), from the field annotations
-SCHEMA = {section: {f.name: {"tuple": "ints"}.get(f.type, f.type)
-                    for part, sec in PARTS.items() if sec == section
-                    for f in dataclasses.fields(getattr(DEFAULTS, part))}
-          for section in dict.fromkeys(PARTS.values())}
+# section (an ExperimentConfig field) -> key -> kind (int, float, bool, str,
+# ints), from the field annotations
+SCHEMA = {sec.name: {f.name: {"tuple": "ints"}.get(f.type, f.type)
+                     for f in dataclasses.fields(getattr(DEFAULTS, sec.name))}
+          for sec in dataclasses.fields(ExperimentConfig)}
 
 
 def _convert(raw, kind, section, key, line):
@@ -175,7 +180,7 @@ def _convert(raw, kind, section, key, line):
                 raise ValueError(raw)
             value = raw.lower() == "true"
         elif kind == "ints":
-            value = tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
+            value = tuple(int(v) for v in raw.split(",")) if raw else ()
         else:
             value = {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError:
@@ -189,8 +194,8 @@ def _convert(raw, kind, section, key, line):
 def parse_config(text):
     """Parse configuration text into an ``ExperimentConfig``.
 
-    Each part starts from ``DEFAULTS`` and takes the keys the text sets;
-    a value its part rejects is reported at the line that set it.
+    Each section starts from ``DEFAULTS`` and takes the keys the text sets;
+    a value its section rejects is reported at the line that set it.
     """
     values, lines = {}, {}
     section = None
@@ -220,19 +225,16 @@ def parse_config(text):
         raise ConfigError(f"[{section}] {key}: {message}", lines.get((section, key), 0))
 
     parts = {}
-    for part, section in PARTS.items():
-        default = getattr(DEFAULTS, part)
-        given = {f.name: values[(section, f.name)] for f in dataclasses.fields(default)
-                 if (section, f.name) in values}
+    for section, keys in SCHEMA.items():
+        given = {key: values[(section, key)] for key in keys if (section, key) in values}
         try:
-            parts[part] = dataclasses.replace(default, **given)
+            parts[section] = dataclasses.replace(getattr(DEFAULTS, section), **given)
         except SettingError as exc:
             bad(section, exc.key, exc.message)
     try:
         return ExperimentConfig(**parts)
     except SettingError as exc:
-        part, _, key = exc.key.partition(".")
-        bad(PARTS[part], key, exc.message)
+        bad(*exc.key.split("."), exc.message)
 
 
 def _format_value(value, kind):
@@ -250,10 +252,9 @@ def format_config(cfg):
     out = ["# resolved configuration (init: fan-in scaled uniform)"]
     for section, keys in SCHEMA.items():
         out.append(f"[{section}]")
-        holders = [getattr(cfg, part) for part, sec in PARTS.items() if sec == section]
+        part = getattr(cfg, section)
         for key, kind in keys.items():
-            holder = next(h for h in holders if hasattr(h, key))
-            out.append(f"{key} = {_format_value(getattr(holder, key), kind)}")
+            out.append(f"{key} = {_format_value(getattr(part, key), kind)}")
         out.append("")
     return "\n".join(out)
 

@@ -214,6 +214,9 @@ def augment(x, strength, rng):
     return x + mask * jitter
 
 
+POLICIES = ("random", "teacher_score")
+
+
 def select_unlabeled(pool: UnlabeledPool, fraction, policy, logits=None, seed=0):
     """Sorted pool indices of a deterministic sub-pool of the given fraction.
 

@@ -11,14 +11,13 @@ the terms each stage-2 mode adds; ``baselines.stage2_loss`` builds them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .autograd import (NumericError, backward, l2_distance, mse, softmax,
                        softmax_cross_entropy, softmax_values)
-from .data import BatchSampler, SettingError, one_hot
+from .data import BatchSampler, one_hot
 from .optim import Sgd
 
 VARIANTS = ("kl", "mse", "pmse")
@@ -69,28 +68,6 @@ class DivergenceError(RuntimeError):
         super().__init__(
             f"{mode} seed {seed} diverged at epoch {epoch}, step {step}: "
             f"{term} term: {detail}; a lower learning rate may help")
-
-
-@dataclasses.dataclass(frozen=True)
-class SrdConfig:
-    """Distillation settings: variant, term weights, baseline temperature.
-
-    Construction raises ``SettingError`` naming the first field out of range.
-    """
-
-    variant: str = "mse"
-    alpha: float = 1.0
-    beta: float = 1.0
-    kd_temperature: float = 4.0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise SettingError("variant", f"must be one of {', '.join(VARIANTS)}")
-        for key in ("alpha", "beta"):
-            if getattr(self, key) < 0.0:
-                raise SettingError(key, "must be nonnegative")
-        if self.kd_temperature <= 0.0:
-            raise SettingError("kd_temperature", "must be positive")
 
 
 def srd_loss(variant, z_t, z_hat):

@@ -35,8 +35,8 @@ PIN_TEST = "tests/test_digests.py::test_every_case_writes_the_pinned_bytes"
 STATE_PREFIXES = ('            out.update(layer.state_arrays(f"extractor.layer{i}"))\n',
                   '            out.update(self.norm.state_arrays("extractor.norm"))\n')
 
-DAC_DRAWS = ("            x[n:] = augment(x[n:], cfg.baselines.dac_strength, aug_rng)\n",
-             "            view2 = augment(x_all[idx[n:]], cfg.baselines.dac_strength, aug_rng)\n")
+DAC_DRAWS = ("            x[n:] = augment(x[n:], cfg.distill.dac_strength, aug_rng)\n",
+             "            view2 = augment(x_all[idx[n:]], cfg.distill.dac_strength, aug_rng)\n")
 
 # name -> (file under src/kdlab, text that occurs exactly once, its replacement)
 MUTANTS = {
@@ -58,7 +58,8 @@ MUTANTS = {
     "+dac inputs left on the original rows":
         ("baselines.py", "x[n:] = augment(x[n:],", "augment(x[n:],"),
     "srd total leaves out the feature regularizer":
-        ("baselines.py", "cfg.srd.alpha * srd + cfg.srd.beta * reg", "cfg.srd.alpha * srd"),
+        ("baselines.py", "cfg.distill.alpha * srd + cfg.distill.beta * reg",
+         "cfg.distill.alpha * srd"),
     "+ood keeps the rows its filter drops":
         ("baselines.py", "u_idx = u_idx[keep]", "u_idx = u_idx"),
     "detector scores forward through its trainable bias":
@@ -131,6 +132,11 @@ MUTANTS = {
         ("config.py", "if (section, key) in values:", "if False:"),
     "config echo rounds floats to 6 decimals":
         ("config.py", "repr(float(value))", "str(round(float(value), 6))"),
+    "config accepts a blank item in an ints value":
+        ("config.py", 'int(v) for v in raw.split(","))',
+         'int(v) for v in raw.split(",") if v.strip())'),
+    "DistillParams accepts a negative alpha":
+        ("config.py", 'for key in ("alpha", "beta"):', 'for key in ("beta",):'),
     "cli exits 1 on divergence":
         ("cli.py", "        return 4\n", "        return 1\n"),
 }

@@ -62,9 +62,9 @@ def _run(preset, mode, variant=None, use_unlabeled=True):
     cfg = override(_preset(preset), mode=mode, use_unlabeled=use_unlabeled)
     if variant is not None:
         cfg = dataclasses.replace(
-            cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
+            cfg, distill=dataclasses.replace(cfg.distill, variant=variant))
     # Keyed on the resolved variant: naming the preset's own one reuses its run.
-    key = (preset, mode, cfg.srd.variant, use_unlabeled)
+    key = (preset, mode, cfg.distill.variant, use_unlabeled)
     if key not in _runs:
         _runs[key] = run(override(cfg, out=os.path.join(WORK, "-".join(map(str, key)))))
     return _runs[key]
@@ -133,8 +133,12 @@ def test_criterion_03_feature_recovery():
 
 
 def test_criterion_04_distillation_gain():
-    sup = _run("standard", "supervised")["mean_top1"]
+    # srd runs first, from an empty teacher cache, so its slowest seed times stage 1 too
+    cfg = _preset("standard")
+    cached = [s for s in SEEDS if os.path.exists(teacher_path(cfg, s))]
+    assert not cached, f"standard teachers of seeds {cached} were cached before the srd run"
     srd = _run("standard", "srd")["mean_top1"]
+    sup = _run("standard", "supervised")["mean_top1"]
     slowest = max(_per_seed("standard", "srd", "seconds"))
     gain = srd - sup
     ok = gain >= 0.010 and slowest < 120.0

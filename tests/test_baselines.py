@@ -148,7 +148,7 @@ def test_dac_on_identical_networks_is_minus_one():
     net = make_network(cfg.dataset.input_dim, arch, cfg.dataset.classes, seed=0)
     x = ds.unlabeled.inputs[:12]
     got = _dac_step(cfg, ds, net, net, x, 0.0, np.random.default_rng(0))
-    assert abs(got + cfg.baselines.dac_weight) < 1e-6
+    assert abs(got + cfg.distill.dac_weight) < 1e-6
 
 
 def test_dac_zero_strength_matches_the_forward_oracle():
@@ -160,7 +160,7 @@ def test_dac_zero_strength_matches_the_forward_oracle():
     zs = student.forward(x)[1].values
     cos = (zs * zt).sum(axis=1) / (
         np.linalg.norm(zs, axis=1) * np.linalg.norm(zt, axis=1) + 1e-12)
-    assert abs(got + cfg.baselines.dac_weight * cos.mean()) < 1e-9
+    assert abs(got + cfg.distill.dac_weight * cos.mean()) < 1e-9
 
 
 def test_dac_views_replay_under_a_fixed_stream():
@@ -581,7 +581,7 @@ def test_use_unlabeled_off_trims_the_distillation_pool():
 def test_ood_filter_that_drops_every_row_still_trains():
     cfg, ds, teacher = _setup(mode="srd+ood")
     keep_all, drop_all = (train_with_mode(ds, teacher, dataclasses.replace(
-        cfg, baselines=dataclasses.replace(cfg.baselines, ood_threshold=t)), 0)
+        cfg, distill=dataclasses.replace(cfg.distill, ood_threshold=t)), 0)
         for t in (0.0, 1.0))
     labeled_only = train_with_mode(
         ds, teacher, override(cfg, mode="srd", use_unlabeled=False), 0)

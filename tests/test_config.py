@@ -28,8 +28,8 @@ def test_empty_text_is_the_default_configuration():
     assert cfg.optimizer.lr == 0.05
     assert cfg.optimizer.milestones == (60, 78)
     assert cfg.optimizer.unlabeled_batch_size == 64
-    assert cfg.srd.variant == "mse"
-    assert cfg.srd.alpha == 1.0 and cfg.srd.beta == 1.0
+    assert cfg.distill.variant == "mse"
+    assert cfg.distill.alpha == 1.0 and cfg.distill.beta == 1.0
     assert cfg.run.mode == "srd"
     assert cfg.run.seeds == (0, 1, 2, 3, 4)
     assert cfg.run.epochs == 90
@@ -96,17 +96,28 @@ def test_override_checks_what_it_sets(updates, key, message):
     ("student", "hidden", (8, 0)),
     ("optimizer", "lr", 0.0),
     ("optimizer", "unlabeled_batch_size", -1),
-    ("baselines", "detector_lr", 0.0),
-    ("baselines", "ood_threshold", 1.5),
-    ("baselines", "kd_weight", -1.0),
-    ("baselines", "dac_weight", -1.0),
-    ("baselines", "pseudo_weight", -1.0),
-    ("baselines", "dac_strength", -1.0),
+    ("distill", "variant", "other"),
+    ("distill", "alpha", -0.5),
+    ("distill", "beta", -0.5),
+    ("distill", "kd_temperature", 0.0),
+    ("distill", "detector_lr", 0.0),
+    ("distill", "ood_threshold", 1.5),
+    ("distill", "kd_weight", -1.0),
+    ("distill", "dac_weight", -1.0),
+    ("distill", "pseudo_weight", -1.0),
+    ("distill", "dac_strength", -1.0),
 ])
 def test_every_part_checks_its_own_fields(part, key, value):
     with pytest.raises(SettingError) as err:
         dataclasses.replace(getattr(DEFAULTS, part), **{key: value})
     assert err.value.key == key
+
+
+def test_config_fields_are_the_echo_sections_in_order():
+    headers = [line[1:-1] for line in format_config(DEFAULTS).splitlines()
+               if line.startswith("[")]
+    assert [f.name for f in dataclasses.fields(DEFAULTS)] == headers == [
+        "dataset", "teacher", "student", "optimizer", "distill", "run"]
 
 
 # resolved.cfg sha256[:16], teacher cache key at seed 0, at seed 3
@@ -197,7 +208,10 @@ def test_out_of_range_values_carry_their_line():
              ("[distill]\nkd_weight = -1\n", 2),
              ("[distill]\n\ndac_weight = -1\n", 3),
              ("[distill]\npseudo_weight = -1.0\n", 2),
-             ("[distill]\ndac_strength = -0.5\n", 2)]
+             ("[distill]\ndac_strength = -0.5\n", 2),
+             ("[optimizer]\n\nmilestones = 60,,78\n", 3),
+             ("[run]\nseeds = 1,,2\n", 2),
+             ("[optimizer]\nmilestones = ,\n", 2)]
     for text, line in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -273,7 +287,7 @@ def test_configs_are_frozen_values():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.dataset.classes = 9
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.srd.alpha = 2.0
+        cfg.distill.alpha = 2.0
     assert cfg == parse_config("")
     assert hash(cfg.dataset) == hash(parse_config("").dataset)
     assert hash(cfg) == hash(parse_config(""))

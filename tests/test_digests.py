@@ -29,8 +29,9 @@ import numpy as np
 import pytest
 
 import kdlab
-from kdlab.config import POLICIES, override, parse_config
-from kdlab.data import BatchSampler, DatasetParams, augment, generate, select_unlabeled
+from kdlab.config import override, parse_config
+from kdlab.data import (POLICIES, BatchSampler, DatasetParams, augment, generate,
+                        select_unlabeled)
 from kdlab.distill import MODES
 from kdlab.harness import run
 
@@ -102,9 +103,9 @@ def digests(root):
     cache = os.path.join(root, "teacher-cache")
     for name, case in CASES.items():
         updates = dict(case)
-        variant = updates.pop("variant", base.srd.variant)
+        variant = updates.pop("variant", base.distill.variant)
         cfg = override(base, out=os.path.join(root, name), cache_dir=cache, **updates)
-        run(dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant)))
+        run(dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, variant=variant)))
     table = {}
     for name in [*CASES, "teacher-cache"]:
         for file in sorted(os.listdir(os.path.join(root, name))):

@@ -11,8 +11,7 @@ from kdlab.autograd import Tensor, backward, matmul, softmax_values
 from kdlab.baselines import MODES, kd_loss, stage2_loss, train_with_mode
 from kdlab.config import override, parse_config
 from kdlab.data import generate, one_hot
-from kdlab.distill import (DivergenceError, SrdConfig, feature_reg, lr_at, pretrain_teacher,
-                           srd_loss)
+from kdlab.distill import DivergenceError, feature_reg, lr_at, pretrain_teacher, srd_loss
 from kdlab.models import Classifier, build_student, build_teacher
 from kdlab.optim import Sgd
 
@@ -153,7 +152,8 @@ def _fresh(seed=0):
 
 
 def _srd(alpha=1.0, beta=1.0):
-    return dataclasses.replace(TINY_CFG, srd=SrdConfig(alpha=alpha, beta=beta))
+    return dataclasses.replace(
+        TINY_CFG, distill=dataclasses.replace(TINY_CFG.distill, alpha=alpha, beta=beta))
 
 
 def _srd_loss(nets, x, y, cfg):
@@ -298,12 +298,3 @@ def test_pretrain_matches_the_per_parameter_optimizer_bit_for_bit(monkeypatch):
         states.append(net.state_arrays())
     for name in states[0]:
         assert np.array_equal(states[0][name], states[1][name]), name
-
-
-def test_srd_config_validation():
-    with pytest.raises(ValueError):
-        SrdConfig(variant="other")
-    with pytest.raises(ValueError):
-        SrdConfig(alpha=-0.5)
-    with pytest.raises(ValueError):
-        SrdConfig(kd_temperature=0.0)

@@ -13,8 +13,8 @@ import pytest
 import kdlab
 import mutants
 from kdlab import cli, harness, metrics, models
-from kdlab.config import POLICIES, ConfigError, override, parse_config
-from kdlab.data import SettingError, generate
+from kdlab.config import ConfigError, override, parse_config
+from kdlab.data import POLICIES, SettingError, generate
 from kdlab.distill import MODES, AccuracyFloorError, DivergenceError
 from kdlab.harness import (SUMMARY_HEADER, compare, compare_markdown,
                            get_teacher, read_summary, run, sweep,
@@ -430,7 +430,7 @@ def test_random_small_configs_finish_or_fail_by_name(tmp_path):
             continue
         outcomes.append("ok")
         r, batch = cfg.run, cfg.optimizer.batch_size
-        seen |= {r.mode, r.selection_policy, cfg.srd.variant}
+        seen |= {r.mode, r.selection_policy, cfg.distill.variant}
         seen |= {name for name, hit in (
             ("labeled only", not r.use_unlabeled), ("fraction < 1", r.unlabeled_fraction < 1),
             ("teacher unnormed", not cfg.teacher.feature_norm),

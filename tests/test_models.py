@@ -523,7 +523,7 @@ def _assert_step_matches_composed_graph(mode, variant):
     head composed from elementary ops in the reference."""
     cfg, (teacher, fused, fused_ad) = _preset_nets()
     _, (_, composed, composed_ad) = _preset_nets()
-    cfg = dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant))
+    cfg = dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, variant=variant))
     teacher.freeze()
     rng = np.random.default_rng(43)
     x = rng.standard_normal((96, cfg.dataset.input_dim))
@@ -552,19 +552,19 @@ def _assert_step_matches_composed_graph(mode, variant):
                "pmse": lambda: composed_row_distance(Tensor(softmax_values(z_t)),
                                                      softmax(z_hat))}[variant]()
         reg = composed_row_distance(Tensor(feats_t), x_a, root=True)
-        ref_total = ref_total + cfg.srd.alpha * srd + cfg.srd.beta * reg
+        ref_total = ref_total + cfg.distill.alpha * srd + cfg.distill.beta * reg
     if "kd" in terms:
-        inv = 1.0 / cfg.srd.kd_temperature
-        kd = cfg.srd.kd_temperature ** 2 * composed_cross_entropy(
+        inv = 1.0 / cfg.distill.kd_temperature
+        kd = cfg.distill.kd_temperature ** 2 * composed_cross_entropy(
             logits_s * inv, softmax_values(z_t * inv))
-        ref_total = ref_total + cfg.baselines.kd_weight * kd
+        ref_total = ref_total + cfg.distill.kd_weight * kd
     if "pseudo" in terms:
         ce_u = composed_cross_entropy(slice_rows(logits_s, 32, 96),
                                       one_hot(pseudo_y, cfg.dataset.classes))
         ref_total = (ce + pseudo_weight * ce_u) * (1.0 / (1.0 + pseudo_weight))
     if "dac" in terms:
         dac = composed_cosine_loss(composed_student(view2), z_t[32:])
-        ref_total = ref_total + cfg.baselines.dac_weight * dac
+        ref_total = ref_total + cfg.distill.dac_weight * dac
     backward(ref_total)
 
     assert total.item() == ref_total.item()

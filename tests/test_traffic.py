@@ -79,7 +79,7 @@ def test_shipping_traffic_reaches_every_public_engine_name(tmp_path, monkeypatch
         run(override(base, mode=mode, out=str(tmp_path / mode)))
     for variant in ("kl", "pmse"):
         cfg = override(base, out=str(tmp_path / f"srd-{variant}"))
-        run(dataclasses.replace(cfg, srd=dataclasses.replace(cfg.srd, variant=variant)))
+        run(dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, variant=variant)))
     sweep(override(base, selection_policy="teacher_score", out=str(tmp_path / "sweep")),
           fractions=(0.5, 1.0))
 
